@@ -2,15 +2,14 @@
 
 Commands: ``integrate``, ``convert``, ``simulate``, ``stationary``,
 ``fpe``, and ``experiment <family>``.  Configuration is a single JSON file
-(strictly validated: unknown keys are rejected); ``--seed``, ``--out``,
-``--paths``, ``--dt``, and ``--format`` override config fields.  Exit
-codes: 0 success, 2 invalid configuration, 3 numeric divergence.  stderr
-carries diagnostics; stdout prints one final summary line.  Output files
-are written atomically (temp file, then rename), so a run is reproducible
-byte for byte from ``(config, seed)``.
-
-``NOISECALC_THREADS`` caps worker threads for the experiment command
-(0 = auto); results do not depend on the thread count.
+(strictly validated: unknown keys are rejected).  Every command takes
+``--seed`` and ``--out``; ``simulate`` also takes ``--paths`` and ``--dt``
+(overriding ``run.n_paths`` and ``run.dt``), ``experiment`` takes
+``--paths`` (overriding ``experiment.hitting.n_paths``).  Exit codes: 0
+success, 2 invalid configuration, 3 numeric divergence.  stderr carries
+diagnostics; stdout prints one final summary line.  Output files are
+written atomically (temp file, then rename), so a run is reproducible byte
+for byte from ``(config, seed)``.  Every command runs serially.
 """
 from __future__ import annotations
 
@@ -19,14 +18,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import expr as xp
 from .fokker_planck import FpeProblem, GridDensity, evolve_fpe, relative_entropy, stationary_density
-from .integrals import EvaluationRule, convergence_table
+from .integrals import convergence_table
 from .paths import SeedSpec, TimeGrid, generate_brownian
 from .physics import (
     FAMILIES,
@@ -36,7 +34,7 @@ from .physics import (
     family_models,
     rest_start_diagnostics,
 )
-from .sde import Interpretation, SdeModel, from_ito, to_ito
+from .sde import EvaluationRule, Interpretation, SdeModel, from_ito, to_ito
 from .solvers import McConfig, Reflect, STOP_ON_VIOLATION, SolverScheme, simulate_ensemble
 
 __all__ = ["main", "ConfigError", "NumericError"]
@@ -166,9 +164,7 @@ def _mc_config(cfg: dict, args, default_boundary=None) -> McConfig:
                       "record", "record_stride"}, "run")
     boundary = run.get("boundary", default_boundary)
     if isinstance(boundary, dict):
-        _check_keys(boundary, {"reflect"}, "run.boundary")
-        a, b = boundary["reflect"]
-        boundary = Reflect(float(a), math.inf if b is None else float(b))
+        boundary = _reflect_from(boundary)
     elif boundary in ("stop", STOP_ON_VIOLATION):
         boundary = STOP_ON_VIOLATION
     elif boundary not in (None, "none"):
@@ -177,8 +173,8 @@ def _mc_config(cfg: dict, args, default_boundary=None) -> McConfig:
         boundary = None
     try:
         return McConfig(
-            n_paths=int(args.paths or run.get("n_paths", 100)),
-            dt=float(args.dt or run.get("dt", 1e-3)),
+            n_paths=int(run.get("n_paths", 100) if args.paths is None else args.paths),
+            dt=float(run.get("dt", 1e-3) if args.dt is None else args.dt),
             horizon=float(run.get("horizon", 1.0)),
             seed=_seed_from(cfg, args.seed),
             boundary=boundary,
@@ -187,6 +183,16 @@ def _mc_config(cfg: dict, args, default_boundary=None) -> McConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _reflect_from(block: dict) -> Reflect:
+    _check_keys(block, {"reflect"}, "run.boundary")
+    try:
+        lo, hi = block["reflect"]
+        return Reflect(float(lo), math.inf if hi is None else float(hi))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("run.boundary.reflect must be [lo, hi] with lo < hi "
+                          f"(hi null for no upper wall): {exc}") from None
 
 
 def _scheme_from(cfg: dict) -> SolverScheme:
@@ -206,10 +212,7 @@ def _scheme_from(cfg: dict) -> SolverScheme:
 
 def _out_dir(cfg: dict, args) -> Path:
     outputs = cfg.get("outputs", {})
-    _check_keys(outputs, {"dir", "format"}, "outputs")
-    fmt = args.format or outputs.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
+    _check_keys(outputs, {"dir"}, "outputs")
     out = Path(args.out or outputs.get("dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -422,7 +425,7 @@ def _cmd_experiment(cfg: dict, args) -> str:
     if family not in FAMILIES:
         raise ConfigError(f"unknown experiment {family!r}; expected one of {FAMILIES}")
     block = cfg.get("experiment", {})
-    _check_keys(block, {"dt", "n_seeds", "horizon", "hitting", "params"}, "experiment")
+    _check_keys(block, {"dt", "n_seeds", "horizon", "hitting"}, "experiment")
     dt = float(block.get("dt", _EXPERIMENT_DEFAULTS["dt"]))
     n_seeds = int(block.get("n_seeds", _EXPERIMENT_DEFAULTS["n_seeds"]))
     horizon = float(block.get("horizon", _EXPERIMENT_DEFAULTS["horizon"]))
@@ -443,25 +446,19 @@ def _cmd_experiment(cfg: dict, args) -> str:
         level = 0.0
 
     rest_trio = family_models(family, rest_params)
-    report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)
-
     run_trio = family_models(family, run_params)
-    hit_cfg = McConfig(
-        n_paths=int(args.paths or hit_block["n_paths"]),
-        dt=float(hit_block["dt"]),
-        horizon=float(hit_block["horizon"]),
-        seed=seed.shifted(10_000),
-        record="terminal",
-    )
-
-    workers = _thread_cap()
-    if workers == 1:
+    try:
+        hit_cfg = McConfig(
+            n_paths=int(hit_block["n_paths"] if args.paths is None else args.paths),
+            dt=float(hit_block["dt"]),
+            horizon=float(hit_block["horizon"]),
+            seed=seed.shifted(10_000),
+            record="terminal",
+        )
+        report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)
         hitting = boundary_hitting_study(run_trio, level, float(hit_block["band"]), hit_cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            future = pool.submit(boundary_hitting_study, run_trio, level,
-                                 float(hit_block["band"]), hit_cfg)
-            hitting = future.result()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     members = []
     for diag in report.members:
@@ -472,17 +469,6 @@ def _cmd_experiment(cfg: dict, args) -> str:
     _write_json(out / f"experiment_{family}.json",
                 {"model_family": family, "members": members})
     return f"experiment: wrote experiment_{family}.json to {out}"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NOISECALC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NOISECALC_THREADS must be an integer, got {raw!r}") from None
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
 
 
 # --- entry point -------------------------------------------------------------
@@ -496,19 +482,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and the boundary-behavior case studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("integrate", True), ("convert", True), ("simulate", True),
-        ("stationary", True), ("fpe", True), ("experiment", False),
-    ):
+    for name in ("integrate", "convert", "simulate", "stationary", "fpe", "experiment"):
         p = sub.add_parser(name)
         if name == "experiment":
             p.add_argument("name", help=f"one of {', '.join(FAMILIES)}")
-        p.add_argument("--config", required=needs_config, default=None)
+        p.add_argument("--config", required=name != "experiment", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if name in ("simulate", "experiment"):
+            p.add_argument("--paths", type=int, default=None)
+        if name == "simulate":
+            p.add_argument("--dt", type=float, default=None)
     return parser
 
 

@@ -209,14 +209,21 @@ class FpeProblem:
 
     def velocity(self, xs: np.ndarray) -> np.ndarray:
         """Advection field ``f + g g'`` of the conservation form."""
-        gv = np.asarray(self.g(xs, 0.0), dtype=float)
-        if self.dgdx is not None:
-            gp = np.asarray(self.dgdx(xs, 0.0), dtype=float)
-        else:
-            h = 1e-6 * max(1.0, abs(self.interval[1] - self.interval[0]))
-            gp = (np.asarray(self.g(xs + h, 0.0), dtype=float)
-                  - np.asarray(self.g(xs - h, 0.0), dtype=float)) / (2 * h)
+        gv, gp = _g_and_slope(self.g, self.dgdx, xs,
+                              abs(self.interval[1] - self.interval[0]))
         return np.asarray(self.f(xs, 0.0), dtype=float) + gv * gp
+
+
+def _g_and_slope(g: Callable, dgdx: Callable | None, xs: np.ndarray,
+                 width: float) -> tuple[np.ndarray, np.ndarray]:
+    """``g`` and ``g'`` at ``xs``; without ``dgdx``, ``g'`` is a central
+    difference with step ``1e-6 * max(1, width)``."""
+    gv = np.asarray(g(xs, 0.0), dtype=float)
+    if dgdx is not None:
+        return gv, np.asarray(dgdx(xs, 0.0), dtype=float)
+    h = 1e-6 * max(1.0, width)
+    return gv, (np.asarray(g(xs + h, 0.0), dtype=float)
+                - np.asarray(g(xs - h, 0.0), dtype=float)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -304,13 +311,7 @@ def probability_flux(p: GridDensity, f: Callable, g: Callable,
     """
     xs = p.centers
     dx = p.dx
-    gv = np.asarray(g(xs, 0.0), dtype=float)
-    if dgdx is not None:
-        gp = np.asarray(dgdx(xs, 0.0), dtype=float)
-    else:
-        h = 1e-6 * max(1.0, p.b - p.a)
-        gp = (np.asarray(g(xs + h, 0.0), dtype=float)
-              - np.asarray(g(xs - h, 0.0), dtype=float)) / (2 * h)
+    gv, gp = _g_and_slope(g, dgdx, xs, p.b - p.a)
     q = gv**2 * p.values
     dq = np.empty_like(q)
     dq[1:-1] = (q[2:] - q[:-2]) / (2 * dx)

@@ -13,7 +13,6 @@ ensemble quantiles over seeds quantify the distributional statements.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
@@ -22,6 +21,8 @@ import numpy as np
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from .paths import SamplePath, SeedSpec, TimeGrid, VectorPath, _check_same_grid, generate_brownian, refine_bridge
+from .sde import EvaluationRule, to_ito
+from .solvers import _plain_terminal
 
 __all__ = [
     "EvaluationRule",
@@ -39,22 +40,6 @@ __all__ = [
 ]
 
 
-class EvaluationRule(enum.Enum):
-    """Where the integrand is read on each subinterval."""
-
-    LEFT = "left"          # Ito
-    MIDPOINT = "midpoint"  # Stratonovich
-    RIGHT = "right"        # Hanggi-Klimontovich
-
-    @classmethod
-    def from_name(cls, name: str) -> "EvaluationRule":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown evaluation rule {name!r}; "
-                             f"expected one of {[r.value for r in cls]}") from None
-
-
 def _apply_scalar(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """Apply a scalar function, vectorized when the callable allows it."""
     try:
@@ -69,15 +54,16 @@ def _apply_scalar(fn: Callable, xs: np.ndarray) -> np.ndarray:
 def _rule_factors(values: np.ndarray, integrand: np.ndarray, rule: EvaluationRule):
     """Evaluation values and matching increments for one rule.
 
-    ``values`` feeds the integrand, ``integrand`` is differenced.  For the
+    ``values`` feeds the integrand, ``integrand`` is differenced (along the
+    first axis, so vector paths work row by row).  For the
     midpoint rule the partition coarsens to pairs of steps and the interior
     point supplies the evaluation value; an odd number of steps is rejected.
     """
     if rule is EvaluationRule.LEFT:
-        return values[:-1], np.diff(integrand)
+        return values[:-1], np.diff(integrand, axis=0)
     if rule is EvaluationRule.RIGHT:
-        return values[1:], np.diff(integrand)
-    n = values.size - 1
+        return values[1:], np.diff(integrand, axis=0)
+    n = len(values) - 1
     if n % 2 != 0:
         raise ValueError("midpoint rule needs an even number of steps")
     return values[1::2], integrand[2::2] - integrand[:-2:2]
@@ -160,19 +146,11 @@ def _euler_path_from_driver(model, driver: SamplePath) -> SamplePath:
     No boundary handling: intended for globally smooth coefficients when
     re-simulating on refined grids with shared driving noise.
     """
-    from .sde import to_ito  # local import, avoids a module cycle
-
     ito = to_ito(model)
-    t = driver.grid.points
-    dw = driver.increments()
-    dt = driver.grid.spacings
-    x = np.empty(len(t))
-    x[0] = ito.x0
-    xi = ito.x0
-    for j in range(dw.size):
-        xi = xi + ito.f(xi, t[j]) * dt[j] + ito.g(xi, t[j]) * dw[j]
-        x[j + 1] = xi
-    return SamplePath(driver.grid, x)
+    x = np.empty((1, len(driver.grid)))
+    _plain_terminal(ito.f, ito.g, EvaluationRule.LEFT, ito.x0, driver.grid.points,
+                    driver.increments()[None, :], out=x)
+    return SamplePath(driver.grid, x[0])
 
 
 def convergence_table(
@@ -258,19 +236,8 @@ def multidim_hk_sum(
         )
     d = probe.shape[0]
 
-    if rule is EvaluationRule.MIDPOINT:
-        n = path.grid.n_steps
-        if n % 2 != 0:
-            raise ValueError("midpoint rule needs an even number of steps")
-        pts, ts = x[1::2], t[2::2]
-        dx = x[2::2] - x[:-2:2]
-    elif rule is EvaluationRule.LEFT:
-        pts, ts = x[:-1], t[1:]
-        dx = np.diff(x, axis=0)
-    else:
-        pts, ts = x[1:], t[1:]
-        dx = np.diff(x, axis=0)
-
+    pts, dx = _rule_factors(x, x, rule)
+    ts = t[2::2] if rule is EvaluationRule.MIDPOINT else t[1:]
     vals = _matrix_values(psi, pts, ts, (d, m))
     # matmul then pairwise column sums: the d=m=1 case reduces bitwise to
     # the scalar stochastic_sum
@@ -327,7 +294,7 @@ class StepProcess:
     def value_at(self, times: np.ndarray) -> np.ndarray:
         """Value of the step process; 0 outside ``(t_0, t_m]``."""
         times = np.asarray(times, dtype=float)
-        idx = np.searchsorted(self.breakpoints, times, side="left") - 1
+        idx = np.searchsorted(self.breakpoints, times) - 1
         out = np.where(
             (idx >= 0) & (idx < self.levels.size),
             self.levels[np.clip(idx, 0, self.levels.size - 1)],

@@ -22,14 +22,14 @@ from typing import Callable
 import numpy as np
 
 from .paths import SamplePath, SeedSpec, TimeGrid, _check_same_grid, generate_brownian_vector
-from .sde import Interpretation, SdeModel
+from .sde import EvaluationRule, Interpretation, SdeModel
 from .solvers import (
-    Boundary,
     HittingStats,
     McConfig,
     Reflect,
     STOP_ON_VIOLATION,
     SolverScheme,
+    _plain_terminal,
     _run_engine,
     hitting_time,
     scheme_for,
@@ -279,18 +279,13 @@ def langevin_velocity_pair(
     if params.u0 is None:
         raise ValueError("two-particle system needs u0")
     drivers = generate_brownian_vector(grid, 2, seed)
-    db = np.diff(drivers.values[:, 0])
-    dw = np.diff(drivers.values[:, 1])
-    dts = grid.spacings
     k = params.gamma / params.m
     s = params.sigma / params.m
-    u = np.empty(len(grid))
-    v = np.empty(len(grid))
-    u[0], v[0] = params.u0, params.v0
-    for j in range(grid.n_steps):
-        u[j + 1] = u[j] - k * u[j] * dts[j] + s * db[j]
-        v[j + 1] = v[j] - k * v[j] * dts[j] + s * dw[j]
-    return (SamplePath(grid, u), SamplePath(grid, v),
+    uv = np.empty((2, len(grid)))
+    _plain_terminal(lambda x, t: -k * x, lambda x, t: s, EvaluationRule.LEFT,
+                    np.array([params.u0, params.v0]), grid.points,
+                    drivers.increments().T, out=uv)
+    return (SamplePath(grid, uv[0]), SamplePath(grid, uv[1]),
             drivers.component(0), drivers.component(1))
 
 
@@ -349,6 +344,22 @@ class RestStartReport:
         raise KeyError(interpretation)
 
 
+def _member_config(model: SdeModel, offset: int, n_paths: int, dt: float,
+                   horizon: float, seed: SeedSpec) -> McConfig:
+    """Terminal-only run of the ``offset``-th member on its own seed block.
+
+    Ito and Stratonovich members reflect at the domain edge; the HK member
+    stops on violation, so an escape is observed rather than masked.
+    """
+    if model.interpretation is Interpretation.HAENGGI_KLIMONTOVICH:
+        boundary = STOP_ON_VIOLATION
+    else:
+        boundary = Reflect(*model.domain)
+    return McConfig(n_paths=n_paths, dt=dt, horizon=horizon,
+                    seed=seed.shifted(offset * n_paths), boundary=boundary,
+                    record="terminal")
+
+
 def rest_start_diagnostics(
     trio: InterpretationTriple,
     dt: float,
@@ -371,16 +382,7 @@ def rest_start_diagnostics(
     for offset, model in enumerate(trio.members()):
         scheme = scheme_for(model.interpretation)
         lo, hi = model.domain
-        boundary: Boundary
-        if model.interpretation is Interpretation.HAENGGI_KLIMONTOVICH:
-            boundary = STOP_ON_VIOLATION
-        else:
-            boundary = Reflect(lo, hi)
-        cfg = McConfig(
-            n_paths=n_seeds, dt=dt, horizon=horizon,
-            seed=seed.shifted(offset * n_seeds), boundary=boundary,
-            record="terminal",
-        )
+        cfg = _member_config(model, offset, n_seeds, dt, horizon, seed)
         raw = _run_engine(model, scheme, cfg.times(), cfg.n_paths, cfg.seed,
                           cfg.boundary, record="terminal")
         interior = raw.completed & (raw.terminal > lo) & (raw.terminal < hi)
@@ -410,16 +412,8 @@ def boundary_hitting_study(
     """
     out: dict[Interpretation, HittingStats] = {}
     for offset, model in enumerate(trio.members()):
-        lo, hi = model.domain
-        if model.interpretation is Interpretation.HAENGGI_KLIMONTOVICH:
-            boundary: Boundary = STOP_ON_VIOLATION
-        else:
-            boundary = Reflect(lo, hi)
-        member_cfg = McConfig(
-            n_paths=cfg.n_paths, dt=cfg.dt, horizon=cfg.horizon,
-            seed=cfg.seed.shifted(offset * cfg.n_paths), boundary=boundary,
-            record="terminal",
-        )
+        member_cfg = _member_config(model, offset, cfg.n_paths, cfg.dt, cfg.horizon,
+                                    cfg.seed)
         out[model.interpretation] = hitting_time(
             model, scheme_for(model.interpretation), level, band, member_cfg)
     return out

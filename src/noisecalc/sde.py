@@ -1,7 +1,8 @@
 """Scalar SDE models under the three noise interpretations.
 
+Each interpretation is one :class:`EvaluationRule` (left, midpoint, right).
 Conversions are coefficient-level: mapping an interpretation to Ito form
-adds a multiple of ``g * dg/dx`` to the drift (0 for Ito, 1/2 for
+adds the rule's offset times ``g * dg/dx`` to the drift (0 for Ito, 1/2 for
 Stratonovich, 1 for Hanggi-Klimontovich) and leaves the diffusion untouched.
 Solving always routes through the Ito form or a direct evaluation-rule
 scheme; see :mod:`noisecalc.solvers`.
@@ -20,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "EvaluationRule",
     "Interpretation",
     "SdeModel",
     "GPrime",
@@ -31,19 +33,45 @@ __all__ = [
 CoefficientFn = Callable[[np.ndarray, float], np.ndarray]
 
 
+class EvaluationRule(enum.Enum):
+    """Where the integrand is read on each subinterval."""
+
+    LEFT = "left"          # Ito
+    MIDPOINT = "midpoint"  # Stratonovich
+    RIGHT = "right"        # Hanggi-Klimontovich
+
+    @property
+    def ito_offset(self) -> float:
+        """Position of the evaluation point in the step: 0, 1/2 or 1."""
+        return {
+            EvaluationRule.LEFT: 0.0,
+            EvaluationRule.MIDPOINT: 0.5,
+            EvaluationRule.RIGHT: 1.0,
+        }[self]
+
+    @classmethod
+    def from_name(cls, name: str) -> "EvaluationRule":
+        try:
+            return cls(name.lower())
+        except ValueError:
+            raise ValueError(f"unknown evaluation rule {name!r}; "
+                             f"expected one of {[r.value for r in cls]}") from None
+
+
 class Interpretation(enum.Enum):
     ITO = "ito"
     STRATONOVICH = "stratonovich"
     HAENGGI_KLIMONTOVICH = "hk"
 
     @property
+    def rule(self) -> EvaluationRule:
+        """The evaluation rule that defines this interpretation."""
+        return _RULE_OF[self]
+
+    @property
     def ito_drift_offset(self) -> float:
         """Multiple of ``g * dg/dx`` added to the drift to reach Ito form."""
-        return {
-            Interpretation.ITO: 0.0,
-            Interpretation.STRATONOVICH: 0.5,
-            Interpretation.HAENGGI_KLIMONTOVICH: 1.0,
-        }[self]
+        return self.rule.ito_offset
 
     @classmethod
     def from_name(cls, name: str) -> "Interpretation":
@@ -59,6 +87,13 @@ class Interpretation(enum.Enum):
             return aliases[name.lower()]
         except KeyError:
             raise ValueError(f"unknown interpretation {name!r}") from None
+
+
+_RULE_OF = {
+    Interpretation.ITO: EvaluationRule.LEFT,
+    Interpretation.STRATONOVICH: EvaluationRule.MIDPOINT,
+    Interpretation.HAENGGI_KLIMONTOVICH: EvaluationRule.RIGHT,
+}
 
 
 class GPrime(NamedTuple):

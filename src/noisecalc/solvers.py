@@ -1,6 +1,6 @@
 """Path simulation for SDE models, boundary handling, and exact oracles.
 
-Schemes realize the three evaluation rules one step at a time:
+Every scheme steps with one :class:`~noisecalc.sde.EvaluationRule`:
 
 * ``DIRECT_LEFT``: ``x + f dt + g(x) dW`` (requires an Ito-tagged model).
 * ``DIRECT_MIDPOINT_HEUN``: predictor ``x^ = x + f dt + g(x) dW`` then
@@ -10,6 +10,10 @@ Schemes realize the three evaluation rules one step at a time:
   An implicit right-point solve is avoided for robustness.
 * ``EULER_MARUYAMA_ITO_FORM``: ``DIRECT_LEFT`` on the converted Ito form,
   valid for any interpretation tag.
+
+The predictor and the corrector's evaluation point are written once and
+shared by the ensemble engine (per-path noise, boundary policy) and
+:func:`_plain_terminal` (a given increment matrix, no boundary).
 
 Domain handling: a state or evaluation point outside the closed domain by
 more than 1e-12 is a DomainViolation (stop, or flag-and-clamp under
@@ -31,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .paths import SamplePath, SeedSpec, TimeGrid, generate_brownian, refine_bridge
-from .sde import Interpretation, SdeModel, to_ito
+from .sde import EvaluationRule, Interpretation, SdeModel, to_ito
 
 __all__ = [
     "SolverScheme",
@@ -68,20 +72,17 @@ class SolverScheme(enum.Enum):
     DIRECT_RIGHT_PREDICTOR_CORRECTOR = "direct_right_predictor_corrector"
 
 
-_SCHEME_TAG = {
-    SolverScheme.DIRECT_LEFT: Interpretation.ITO,
-    SolverScheme.DIRECT_MIDPOINT_HEUN: Interpretation.STRATONOVICH,
-    SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR: Interpretation.HAENGGI_KLIMONTOVICH,
+_DIRECT_RULE = {
+    SolverScheme.DIRECT_LEFT: EvaluationRule.LEFT,
+    SolverScheme.DIRECT_MIDPOINT_HEUN: EvaluationRule.MIDPOINT,
+    SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR: EvaluationRule.RIGHT,
 }
+_DIRECT_SCHEME = {rule: scheme for scheme, rule in _DIRECT_RULE.items()}
 
 
 def scheme_for(interpretation: Interpretation) -> SolverScheme:
     """The direct scheme whose evaluation rule matches an interpretation."""
-    return {
-        Interpretation.ITO: SolverScheme.DIRECT_LEFT,
-        Interpretation.STRATONOVICH: SolverScheme.DIRECT_MIDPOINT_HEUN,
-        Interpretation.HAENGGI_KLIMONTOVICH: SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR,
-    }[interpretation]
+    return _DIRECT_SCHEME[interpretation.rule]
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,10 @@ class McConfig:
             raise ValueError("record_stride must be >= 1")
         if isinstance(self.boundary, str) and self.boundary != STOP_ON_VIOLATION:
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
+        steps = self.horizon / self.dt
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"horizon {self.horizon} is not a whole number of "
+                             f"dt={self.dt} steps")
 
     @property
     def n_steps(self) -> int:
@@ -225,22 +230,31 @@ class EnsembleResult:
 
 
 def _effective(model: SdeModel, scheme: SolverScheme):
-    """Coefficients and evaluation kind actually stepped by a scheme."""
+    """Coefficients and evaluation rule actually stepped by a scheme."""
     if scheme is SolverScheme.EULER_MARUYAMA_ITO_FORM:
         ito = to_ito(model)
-        return ito.f, ito.g, "left"
-    need = _SCHEME_TAG[scheme]
-    if model.interpretation is not need:
+        return ito.f, ito.g, EvaluationRule.LEFT
+    rule = _DIRECT_RULE[scheme]
+    if model.interpretation.rule is not rule:
         raise ValueError(
-            f"{scheme.value} requires a {need.value}-tagged model, "
-            f"got {model.interpretation.value}"
+            f"{scheme.value} reads g at the {rule.value} point and needs a model "
+            f"tagged with that rule, got {model.interpretation.value}"
         )
-    kind = {
-        SolverScheme.DIRECT_LEFT: "left",
-        SolverScheme.DIRECT_MIDPOINT_HEUN: "midpoint",
-        SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR: "right",
-    }[scheme]
-    return model.f, model.g, kind
+    return model.f, model.g, rule
+
+
+def _predict(f, g, x, t, dt, dw):
+    """Left-point drift and the Euler step ``x^ = x + f dt + g(x) dW``."""
+    drift = np.asarray(f(x, t), dtype=float)
+    return drift, x + drift * dt + np.asarray(g(x, t), dtype=float) * dw
+
+
+def _corrector_point(rule: EvaluationRule, x, pred, t_now, t_next, dt):
+    """Where a MIDPOINT or RIGHT corrector reads ``g``: ``(x + x^)/2`` at
+    ``t + dt/2``, or the predicted point ``x^`` at ``t_next``."""
+    if rule is EvaluationRule.MIDPOINT:
+        return 0.5 * (x + pred), t_now + 0.5 * dt
+    return pred, t_next
 
 
 def _fold_into(v: np.ndarray, lo: float, hi: float):
@@ -292,7 +306,7 @@ def _run_engine(
     freeze_on_hit: bool = False,
     chunk: int = 512,
 ) -> _Raw:
-    f, g, kind = _effective(model, scheme)
+    f, g, rule = _effective(model, scheme)
     lo, hi = model.domain
     if isinstance(boundary, Reflect):
         if boundary.lo < lo - _DOMAIN_TOL or boundary.hi > hi + _DOMAIN_TOL:
@@ -376,19 +390,10 @@ def _run_engine(
             ids = act_idx[rows]
             dw = sqdt[k] * z[rows, c]
             xa = x[ids]
-            drift = np.asarray(f(xa, t_now), dtype=float)
-            g_left = np.asarray(g(xa, t_now), dtype=float)
+            drift, prop = _predict(f, g, xa, t_now, dt, dw)
 
-            if kind == "left":
-                prop = xa + drift * dt + g_left * dw
-            else:
-                pred = xa + drift * dt + g_left * dw
-                if kind == "midpoint":
-                    point = 0.5 * (xa + pred)
-                    t_eval = t_now + 0.5 * dt
-                else:
-                    point = pred
-                    t_eval = t_next
+            if rule is not EvaluationRule.LEFT:
+                point, t_eval = _corrector_point(rule, xa, prop, t_now, t_next, dt)
                 point_safe, fatal = _project(point, ids, t_next)
                 if fatal.any():
                     sel = np.flatnonzero(fatal)
@@ -755,24 +760,28 @@ def besq_dimension(model_kind: str) -> int:
 # --- strong convergence -------------------------------------------------------
 
 
-def _plain_terminal(f, g, kind, x0, times, dw):
-    """Vectorized stepping without boundary handling; returns terminals.
+def _plain_terminal(f, g, rule, x0, times, dw, out=None):
+    """Vectorized stepping of given increments without boundary handling.
 
-    ``dw`` has shape (n_paths, n_steps); meant for globally smooth models.
+    ``dw`` has shape (n_paths, n_steps); ``x0`` is one start or one per
+    row; meant for globally smooth models.  Returns the terminals; with
+    ``out``, an (n_paths, n_steps + 1) array, every state is written there
+    too.
     """
-    x = np.full(dw.shape[0], float(x0))
+    rule = EvaluationRule(rule)
+    x = np.full(dw.shape[0], x0, dtype=float)
+    if out is not None:
+        out[:, 0] = x
     dts = np.diff(times)
     for k in range(dw.shape[1]):
         t_now, dt = times[k], dts[k]
-        drift = np.asarray(f(x, t_now), dtype=float)
-        gl = np.asarray(g(x, t_now), dtype=float)
-        if kind == "left":
-            x = x + drift * dt + gl * dw[:, k]
-        else:
-            pred = x + drift * dt + gl * dw[:, k]
-            point = pred if kind == "right" else 0.5 * (x + pred)
-            te = times[k + 1] if kind == "right" else t_now + 0.5 * dt
-            x = x + drift * dt + np.asarray(g(point, te), dtype=float) * dw[:, k]
+        drift, x_next = _predict(f, g, x, t_now, dt, dw[:, k])
+        if rule is not EvaluationRule.LEFT:
+            point, t_eval = _corrector_point(rule, x, x_next, t_now, times[k + 1], dt)
+            x_next = x + drift * dt + np.asarray(g(point, t_eval), dtype=float) * dw[:, k]
+        x = x_next
+        if out is not None:
+            out[:, k + 1] = x
     return x
 
 
@@ -811,7 +820,7 @@ def strong_convergence_order(
         raise ValueError("horizon must be an integer multiple of the coarsest dt")
     n_ref = n_levels[-1] * ref_factor
 
-    f, g, kind = _effective(model, scheme)
+    f, g, rule = _effective(model, scheme)
     n_paths = cfg.n_paths
 
     ladders: dict[int, list[np.ndarray]] = {n: [] for n in n_levels + [n_ref]}
@@ -832,7 +841,7 @@ def strong_convergence_order(
 
     ref_incs = np.vstack(ladders[n_ref])
     if reference == "finest":
-        x_ref = _plain_terminal(f, g, kind, model.x0, times_of[n_ref], ref_incs)
+        x_ref = _plain_terminal(f, g, rule, model.x0, times_of[n_ref], ref_incs)
     else:
         grid_ref = TimeGrid(times_of[n_ref])
         x_ref = np.array([
@@ -843,7 +852,7 @@ def strong_convergence_order(
     errs = []
     for n in n_levels:
         incs = np.vstack(ladders[n])
-        x_end = _plain_terminal(f, g, kind, model.x0, times_of[n], incs)
+        x_end = _plain_terminal(f, g, rule, model.x0, times_of[n], incs)
         errs.append(float(np.mean(np.abs(x_end - x_ref))))
     if any(e <= 0 for e in errs):
         raise ValueError("zero strong error: a level coincides with the reference")

@@ -221,3 +221,57 @@ def test_domain_violations_are_data_in_experiment_mode(tmp_path):
     report = json.loads((tmp_path / "out" / "experiment_relativistic.json").read_text())
     hk = [m for m in report["members"] if m["interpretation"] == "hk"][0]
     assert hk["rest_start"]["violation_fraction"] >= 0.99
+
+
+@pytest.mark.parametrize("boundary", [
+    {"reflect": [0]},
+    {},
+    {"reflect": [1.0, 0.0]},
+    {"reflect": ["floor", None]},
+    {"reflect": [None, 1.0]},
+])
+def test_malformed_reflect_config_exits_2(tmp_path, capsys, boundary):
+    cfg = _write_config(tmp_path, {
+        "model": {"family": "langevin1", "interpretation": "ito"},
+        "run": {"n_paths": 4, "dt": 1e-2, "horizon": 0.1, "boundary": boundary,
+                "record": "terminal"},
+        "outputs": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_simulate_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "model": {"family": "langevin1", "interpretation": "ito"},
+        "run": {"n_paths": 4, "dt": 0.3, "horizon": 1.0, "record": "terminal"},
+        "outputs": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "whole number" in capsys.readouterr().err
+
+
+def test_experiment_explicit_zero_paths_exits_2(tmp_path, capsys):
+    assert main(["experiment", "langevin1", "--paths", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "n_paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("outputs", "format"), ("experiment", "params")])
+def test_removed_config_keys_exit_2(tmp_path, section, key):
+    payload = {"outputs": {"dir": str(tmp_path / "out")}}
+    payload.setdefault(section, {})[key] = {}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["experiment", "langevin1", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fpe", "--config", "cfg.json", "--dt", "0.1"],
+    ["stationary", "--config", "cfg.json", "--paths", "5"],
+    ["experiment", "langevin1", "--dt", "0.1"],
+    ["simulate", "--config", "cfg.json", "--format", "json"],
+])
+def test_options_a_command_does_not_take_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -357,6 +357,12 @@ def test_mcconfig_validation():
         McConfig(n_paths=1, dt=0.1, horizon=1.0, seed=SeedSpec(1), boundary="bogus")
 
 
+def test_mcconfig_rejects_horizon_off_the_step_grid():
+    with pytest.raises(ValueError, match="whole number"):
+        McConfig(n_paths=1, dt=0.3, horizon=1.0, seed=SeedSpec(1))
+    assert McConfig(n_paths=1, dt=1e-3, horizon=0.05, seed=SeedSpec(1)).n_steps == 50
+
+
 def test_scheme_for_mapping():
     assert scheme_for(Interpretation.ITO) is SolverScheme.DIRECT_LEFT
     assert scheme_for(Interpretation.STRATONOVICH) is SolverScheme.DIRECT_MIDPOINT_HEUN

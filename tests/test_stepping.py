@@ -1,0 +1,113 @@
+"""The shared stepping kernel against independent references.
+
+The scalar loops below are the implementations that the vectorised
+stepper replaced; with the arithmetic unchanged the results must be equal
+bit for bit.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from conftest import euler_terminal_matrix
+from noisecalc.integrals import _euler_path_from_driver
+from noisecalc.paths import SeedSpec, TimeGrid, generate_brownian, generate_brownian_vector
+from noisecalc.physics import LangevinParams, langevin_velocity_pair
+from noisecalc.sde import Interpretation, SdeModel, to_ito
+from noisecalc.solvers import (McConfig, SolverScheme, _effective, _plain_terminal, scheme_for,
+                               simulate_ensemble)
+
+
+def _model(tag):
+    return SdeModel(
+        f=lambda x, t: -np.asarray(x, dtype=float),
+        g=lambda x, t: 1.0 + 0.25 * np.sin(np.asarray(x, dtype=float)),
+        dgdx=lambda x, t: 0.25 * np.cos(np.asarray(x, dtype=float)),
+        interpretation=tag,
+        x0=0.3,
+    )
+
+
+def _scalar_euler_path(model, driver):
+    ito = to_ito(model)
+    t = driver.grid.points
+    dw = driver.increments()
+    dt = driver.grid.spacings
+    x = np.empty(len(t))
+    x[0] = ito.x0
+    xi = ito.x0
+    for j in range(dw.size):
+        xi = xi + ito.f(xi, t[j]) * dt[j] + ito.g(xi, t[j]) * dw[j]
+        x[j + 1] = xi
+    return x
+
+
+def _scalar_velocity_pair(params, grid, seed):
+    drivers = generate_brownian_vector(grid, 2, seed)
+    db = np.diff(drivers.values[:, 0])
+    dw = np.diff(drivers.values[:, 1])
+    dts = grid.spacings
+    k = params.gamma / params.m
+    s = params.sigma / params.m
+    u = np.empty(len(grid))
+    v = np.empty(len(grid))
+    u[0], v[0] = params.u0, params.v0
+    for j in range(grid.n_steps):
+        u[j + 1] = u[j] - k * u[j] * dts[j] + s * db[j]
+        v[j + 1] = v[j] - k * v[j] * dts[j] + s * dw[j]
+    return u, v
+
+
+@pytest.mark.parametrize("stream", range(10))
+def test_euler_path_from_driver_matches_scalar_loop(stream):
+    model = _model(Interpretation.HAENGGI_KLIMONTOVICH)
+    driver = generate_brownian(TimeGrid.uniform(0.0, 1.0, 200), SeedSpec(61, stream))
+    got = _euler_path_from_driver(model, driver).values
+    assert np.array_equal(got, _scalar_euler_path(model, driver))
+
+
+@pytest.mark.parametrize("stream", range(10))
+def test_langevin_velocity_pair_matches_scalar_loop(stream):
+    params = LangevinParams(m=1.7, gamma=0.6, sigma=1.3, v0=0.4, u0=-0.9)
+    grid = TimeGrid.uniform(0.0, 2.0, 300)
+    u, v, _, _ = langevin_velocity_pair(params, grid, SeedSpec(62, stream))
+    ref_u, ref_v = _scalar_velocity_pair(params, grid, SeedSpec(62, stream))
+    assert np.array_equal(u.values, ref_u)
+    assert np.array_equal(v.values, ref_v)
+
+
+@pytest.mark.parametrize("tag", list(Interpretation))
+def test_engine_terminals_equal_plain_stepper(tag):
+    # 1300 steps is not a multiple of the engine's 512-step draw chunk; a
+    # dyadic dt makes sqrt(dt) the engine's per-step noise scale exactly
+    n_paths, n_steps, dt = 12, 1300, 2.0**-10
+    model = _model(tag)
+    scheme = scheme_for(tag)
+    cfg = McConfig(n_paths=n_paths, dt=dt, horizon=n_steps * dt, seed=SeedSpec(63, 4),
+                   boundary=None, record="terminal")
+    engine = simulate_ensemble(model, scheme, cfg).terminals
+    dw = np.vstack([math.sqrt(dt) * cfg.seed.shifted(i).generator().standard_normal(n_steps)
+                    for i in range(n_paths)])
+    f, g, rule = _effective(model, scheme)
+    assert np.array_equal(engine, _plain_terminal(f, g, rule, model.x0, cfg.times(), dw))
+
+
+def test_left_stepper_equals_euler_reference():
+    # dyadic dt: the reference's k * dt and the stepper's diff(times) agree
+    n_steps, dt = 64, 2.0**-6
+    model = _model(Interpretation.ITO)
+    dw = SeedSpec(64).generator().standard_normal((10, n_steps)) * math.sqrt(dt)
+    f, g, rule = _effective(model, SolverScheme.DIRECT_LEFT)
+    got = _plain_terminal(f, g, rule, model.x0, np.arange(n_steps + 1) * dt, dw)
+    ref = euler_terminal_matrix(model.f, model.g, model.x0, dt, dw)
+    assert np.array_equal(got, ref[:, -1])
+
+
+def test_one_rule_vocabulary():
+    import noisecalc.integrals
+    import noisecalc.sde
+    from noisecalc.sde import EvaluationRule
+
+    assert noisecalc.integrals.EvaluationRule is noisecalc.sde.EvaluationRule
+    assert [i.rule for i in Interpretation] == list(EvaluationRule)
+    assert [i.ito_drift_offset for i in Interpretation] == [0.0, 0.5, 1.0]
