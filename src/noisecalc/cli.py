@@ -3,17 +3,24 @@
 Commands: ``integrate``, ``convert``, ``simulate``, ``stationary``,
 ``fpe``, and ``experiment <family>``.  Configuration is a single JSON file
 (strictly validated: unknown keys are rejected).  Every command takes
-``--seed`` and ``--out``; ``simulate`` also takes ``--paths`` and ``--dt``
-(overriding ``run.n_paths`` and ``run.dt``), ``experiment`` takes
-``--paths`` (overriding ``experiment.hitting.n_paths``).  Exit codes: 0
-success, 2 invalid configuration, 3 numeric divergence.  stderr carries
-diagnostics; stdout prints one final summary line.  Output files are
-written atomically (temp file, then rename), so a run is reproducible byte
-for byte from ``(config, seed)``.  Every command runs serially.
+``--seed`` and ``--out``; ``convert``, ``stationary`` and ``fpe`` draw no
+random numbers and ignore the seed.  ``simulate`` also takes ``--paths``
+and ``--dt`` (overriding ``run.n_paths`` and ``run.dt``), ``experiment``
+takes ``--paths`` (overriding ``experiment.hitting.n_paths``).
+
+Exit codes: 0 success, 2 invalid configuration, 3 numeric divergence.
+:func:`main` is the one error boundary: every input error is a
+``ValueError`` (a missing, unknown or mistyped key, read through
+:func:`_block` and :func:`_num`, or a value the library rejects) and exits
+2 with one ``config error:`` line on stderr.  stdout prints one summary
+line.  Output files are written atomically (temp file, then rename), so a
+run is reproducible byte for byte from ``(config, seed)``.  Every command
+runs serially.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -41,7 +48,7 @@ __all__ = ["main", "ConfigError", "NumericError"]
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: maps to exit code 2."""
+    """Invalid configuration: exit code 2, like every ``ValueError``."""
 
 
 class NumericError(RuntimeError):
@@ -52,6 +59,49 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _block(parent: dict, key: str, allowed: set[str], where: str) -> dict:
+    """The object ``parent[key]`` (``{}`` when absent), keys checked."""
+    block = parent.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    _check_keys(block, allowed, where)
+    return block
+
+
+def _num(value, name: str, kind=float):
+    """``kind(value)``; a value that is not a number names its key."""
+    if not isinstance(value, bool):  # JSON true/false, an int to Python
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _interval(value, name: str) -> tuple[float, float]:
+    """A ``[a, b]`` pair of numbers with ``a < b``."""
+    if isinstance(value, list) and len(value) == 2:
+        a, b = (_num(v, name) for v in value)
+        if a < b:
+            return a, b
+    raise ConfigError(f"{name} must be [a, b] with a < b, got {value!r}")
+
+
+def _grid(block: dict, where: str) -> tuple[tuple[float, float], int]:
+    """The ``interval`` and ``n_cells`` of a finite-volume grid block."""
+    interval = _interval(block.get("interval", [-3.0, 3.0]), f"{where}.interval")
+    n_cells = _num(block.get("n_cells", 256), f"{where}.n_cells", int)
+    if n_cells < 2:
+        raise ConfigError(f"{where}.n_cells must be >= 2")
+    return interval, n_cells
 
 
 def _get(block: dict, key: str, default=None, required: bool = False):
@@ -77,66 +127,62 @@ def _load_config(path: str) -> dict:
 
 def _parse_expr(src: str, what: str) -> xp.Expr:
     try:
-        return xp.parse(src)
+        return xp.parse(_text(src, what))
     except xp.ExprSyntaxError as exc:
         raise ConfigError(f"cannot parse {what}: {exc}") from None
 
 
+_RUN_KEYS = {"n_paths", "dt", "horizon", "seed", "boundary", "scheme", "record",
+             "record_stride"}
+
+
 def _seed_from(cfg: dict, override: int | None) -> SeedSpec:
-    run = cfg.get("run", {})
-    raw = run.get("seed", {"master": 0, "stream": 0})
-    if isinstance(raw, int):
-        raw = {"master": raw, "stream": 0}
-    _check_keys(raw, {"master", "stream"}, "run.seed")
+    run = _block(cfg, "run", _RUN_KEYS, "run")
+    if isinstance(run.get("seed"), int):
+        raw = {"master": run["seed"]}
+    else:
+        raw = _block(run, "seed", {"master", "stream"}, "run.seed")
     master = raw.get("master", 0) if override is None else override
-    return SeedSpec(int(master), int(raw.get("stream", 0)))
+    return SeedSpec(_num(master, "run.seed.master", int),
+                    _num(raw.get("stream", 0), "run.seed.stream", int))
 
 
 def _build_custom_model(block: dict) -> tuple[SdeModel, xp.Expr, xp.Expr]:
-    _check_keys(block, {"f", "g", "interpretation", "domain", "x0"}, "model.custom")
     f_expr = _parse_expr(_get(block, "f", required=True), "model.custom.f")
     g_expr = _parse_expr(_get(block, "g", required=True), "model.custom.g")
-    interp = Interpretation.from_name(_get(block, "interpretation", "ito"))
+    interp = Interpretation.from_name(
+        _text(_get(block, "interpretation", "ito"), "model.custom.interpretation"))
     dom = _get(block, "domain", [None, None])
     if not isinstance(dom, list) or len(dom) != 2:
         raise ConfigError("model.custom.domain must be a 2-element list")
-    lo = -math.inf if dom[0] is None else float(dom[0])
-    hi = math.inf if dom[1] is None else float(dom[1])
-    x0 = float(_get(block, "x0", required=True))
+    lo = -math.inf if dom[0] is None else _num(dom[0], "model.custom.domain")
+    hi = math.inf if dom[1] is None else _num(dom[1], "model.custom.domain")
+    x0 = _num(_get(block, "x0", required=True), "model.custom.x0")
     try:
         dg = xp.vector_fn(xp.derivative(g_expr))
     except xp.DerivativeUnsupportedError:
         dg = None
-    try:
-        model = SdeModel(
-            f=xp.vector_fn(f_expr), g=xp.vector_fn(g_expr), dgdx=dg,
-            interpretation=interp, x0=x0, domain=(lo, hi), label="custom",
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    model = SdeModel(
+        f=xp.vector_fn(f_expr), g=xp.vector_fn(g_expr), dgdx=dg,
+        interpretation=interp, x0=x0, domain=(lo, hi), label="custom",
+    )
     return model, f_expr, g_expr
 
 
-def _langevin_params(params: dict) -> LangevinParams:
-    _check_keys(params, {"m", "gamma", "sigma", "v0", "u0"}, "model.params")
-    try:
-        return LangevinParams(
-            m=float(params.get("m", 1.0)),
-            gamma=float(params.get("gamma", 1.0)),
-            sigma=float(params.get("sigma", 1.0)),
-            v0=float(params.get("v0", 1.0)),
-            u0=None if params.get("u0") is None else float(params["u0"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _family_params(family: str, params: dict):
+def _family_params(family: str, model: dict):
     if family == "relativistic":
-        _check_keys(params, {"M", "p0"}, "model.params")
-        return RelativisticParams(M=float(params.get("M", 1.0)),
-                                  p0=float(params.get("p0", 0.0)))
-    p = _langevin_params(params)
+        params = _block(model, "params", {"M", "p0"}, "model.params")
+        return RelativisticParams(M=_num(params.get("M", 1.0), "model.params.M"),
+                                  p0=_num(params.get("p0", 0.0), "model.params.p0"))
+    params = _block(model, "params", {"m", "gamma", "sigma", "v0", "u0"}, "model.params")
+    u0 = params.get("u0")
+    p = LangevinParams(
+        m=_num(params.get("m", 1.0), "model.params.m"),
+        gamma=_num(params.get("gamma", 1.0), "model.params.gamma"),
+        sigma=_num(params.get("sigma", 1.0), "model.params.sigma"),
+        v0=_num(params.get("v0", 1.0), "model.params.v0"),
+        u0=None if u0 is None else _num(u0, "model.params.u0"),
+    )
     if family == "langevin2" and p.u0 is None:
         p = LangevinParams(m=p.m, gamma=p.gamma, sigma=p.sigma, v0=p.v0, u0=p.v0)
     return p
@@ -148,20 +194,20 @@ def _build_model(cfg: dict):
         raise ConfigError("config needs a 'model' object")
     if "custom" in block:
         _check_keys(block, {"custom"}, "model")
-        return _build_custom_model(block["custom"])
+        return _build_custom_model(_block(
+            block, "custom", {"f", "g", "interpretation", "domain", "x0"}, "model.custom"))
     _check_keys(block, {"family", "interpretation", "params"}, "model")
     family = _get(block, "family", required=True)
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    interp = Interpretation.from_name(_get(block, "interpretation", "ito"))
-    trio = family_models(family, _family_params(family, block.get("params", {})))
+    interp = Interpretation.from_name(
+        _text(_get(block, "interpretation", "ito"), "model.interpretation"))
+    trio = family_models(family, _family_params(family, block))
     return trio.member(interp), None, None
 
 
 def _mc_config(cfg: dict, args, default_boundary=None) -> McConfig:
-    run = cfg.get("run", {})
-    _check_keys(run, {"n_paths", "dt", "horizon", "seed", "boundary", "scheme",
-                      "record", "record_stride"}, "run")
+    run = _block(cfg, "run", _RUN_KEYS, "run")
     boundary = run.get("boundary", default_boundary)
     if isinstance(boundary, dict):
         boundary = _reflect_from(boundary)
@@ -171,18 +217,16 @@ def _mc_config(cfg: dict, args, default_boundary=None) -> McConfig:
         raise ConfigError(f"unknown boundary {boundary!r}")
     elif boundary == "none":
         boundary = None
-    try:
-        return McConfig(
-            n_paths=int(run.get("n_paths", 100) if args.paths is None else args.paths),
-            dt=float(run.get("dt", 1e-3) if args.dt is None else args.dt),
-            horizon=float(run.get("horizon", 1.0)),
-            seed=_seed_from(cfg, args.seed),
-            boundary=boundary,
-            record=run.get("record", "path"),
-            record_stride=int(run.get("record_stride", 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return McConfig(
+        n_paths=_num(run.get("n_paths", 100) if args.paths is None else args.paths,
+                     "run.n_paths", int),
+        dt=_num(run.get("dt", 1e-3) if args.dt is None else args.dt, "run.dt"),
+        horizon=_num(run.get("horizon", 1.0), "run.horizon"),
+        seed=_seed_from(cfg, args.seed),
+        boundary=boundary,
+        record=run.get("record", "path"),
+        record_stride=_num(run.get("record_stride", 1), "run.record_stride", int),
+    )
 
 
 def _reflect_from(block: dict) -> Reflect:
@@ -196,7 +240,7 @@ def _reflect_from(block: dict) -> Reflect:
 
 
 def _scheme_from(cfg: dict) -> SolverScheme:
-    name = cfg.get("run", {}).get("scheme", "euler_maruyama_ito_form")
+    name = _block(cfg, "run", _RUN_KEYS, "run").get("scheme", "euler_maruyama_ito_form")
     aliases = {
         "euler_maruyama_ito_form": SolverScheme.EULER_MARUYAMA_ITO_FORM,
         "euler": SolverScheme.EULER_MARUYAMA_ITO_FORM,
@@ -204,16 +248,14 @@ def _scheme_from(cfg: dict) -> SolverScheme:
         "midpoint": SolverScheme.DIRECT_MIDPOINT_HEUN,
         "right": SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR,
     }
-    try:
-        return aliases[name]
-    except KeyError:
-        raise ConfigError(f"unknown scheme {name!r}") from None
+    if not isinstance(name, str) or name not in aliases:
+        raise ConfigError(f"unknown scheme {name!r}")
+    return aliases[name]
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    outputs = cfg.get("outputs", {})
-    _check_keys(outputs, {"dir"}, "outputs")
-    out = Path(args.out or outputs.get("dir", "."))
+    outputs = _block(cfg, "outputs", {"dir"}, "outputs")
+    out = Path(args.out or _text(outputs.get("dir", "."), "outputs.dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -228,17 +270,6 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-class _Csv:
-    def __init__(self):
-        self.rows: list[str] = []
-
-    def write(self, text: str) -> None:
-        self.rows.append(text)
-
-    def text(self) -> str:
-        return "".join(self.rows)
-
-
 def _hk_form(model: SdeModel) -> SdeModel:
     """The HK-form coefficients of the model's law (identity for HK tags)."""
     if model.interpretation is Interpretation.HAENGGI_KLIMONTOVICH:
@@ -250,16 +281,18 @@ def _hk_form(model: SdeModel) -> SdeModel:
 
 
 def _cmd_integrate(cfg: dict, args) -> str:
-    block = cfg.get("integrate", {})
-    _check_keys(block, {"phi", "rules", "t0", "t1", "base_steps", "levels"}, "integrate")
+    block = _block(cfg, "integrate", {"phi", "rules", "t0", "t1", "base_steps", "levels"},
+                   "integrate")
     phi_expr = _parse_expr(block.get("phi", "x"), "integrate.phi")
     phi = xp.vector_fn(phi_expr)
-    rules = [EvaluationRule.from_name(r) for r in block.get("rules",
-             ["left", "midpoint", "right"])]
-    t0 = float(block.get("t0", 0.0))
-    t1 = float(block.get("t1", 1.0))
-    base = int(block.get("base_steps", 1024))
-    levels = int(block.get("levels", 6))
+    rules = block.get("rules", ["left", "midpoint", "right"])
+    if not isinstance(rules, list):
+        raise ConfigError(f"integrate.rules must be a list of rule names, got {rules!r}")
+    rules = [EvaluationRule.from_name(_text(r, "integrate.rules")) for r in rules]
+    t0 = _num(block.get("t0", 0.0), "integrate.t0")
+    t1 = _num(block.get("t1", 1.0), "integrate.t1")
+    base = _num(block.get("base_steps", 1024), "integrate.base_steps", int)
+    levels = _num(block.get("levels", 6), "integrate.levels", int)
     if base < 2 or base % 2:
         raise ConfigError("integrate.base_steps must be even and >= 2")
     if levels < 0:
@@ -268,32 +301,30 @@ def _cmd_integrate(cfg: dict, args) -> str:
     out = _out_dir(cfg, args)
 
     path = generate_brownian(TimeGrid.uniform(t0, t1, base), seed)
-    wrote = []
     diverged = False
     for rule in rules:
         table = convergence_table(lambda x: phi(x, 0.0), path, levels,
                                   seed.shifted(1), rule)
-        buf = _Csv()
+        buf = io.StringIO()
         table.write_csv(buf)
-        _write_text(out / f"convergence_{rule.value}.csv", buf.text())
-        wrote.append(f"convergence_{rule.value}.csv")
+        _write_text(out / f"convergence_{rule.value}.csv", buf.getvalue())
         diverged = diverged or table.diverged
     if diverged:
         raise NumericError("divergent sums in at least one convergence table")
-    return f"integrate: wrote {len(wrote)} table(s) to {out}"
+    return f"integrate: wrote {len(rules)} table(s) to {out}"
 
 
 def _cmd_convert(cfg: dict, args) -> str:
     model, f_expr, g_expr = _build_model(cfg)
     if f_expr is None:
         raise ConfigError("convert requires a custom model")
-    block = cfg.get("convert", {})
-    _check_keys(block, {"xs"}, "convert")
-    lo, hi, n = block.get("xs", [-2.0, 2.0, 101])
-    n = int(n)
-    if n < 1 or not float(lo) < float(hi):
+    xs = _block(cfg, "convert", {"xs"}, "convert").get("xs", [-2.0, 2.0, 101])
+    if not (isinstance(xs, list) and len(xs) == 3):
+        raise ConfigError(f"convert.xs must be [lo, hi, n], got {xs!r}")
+    (lo, hi), n = _interval(xs[:2], "convert.xs[0:2]"), _num(xs[2], "convert.xs[2]", int)
+    if n < 1:
         raise ConfigError("convert.xs must be [lo, hi, n] with lo < hi and n >= 1")
-    xs = np.linspace(float(lo), float(hi), n)
+    xs = np.linspace(lo, hi, n)
     out = _out_dir(cfg, args)
 
     if model.dgdx is None:
@@ -314,10 +345,7 @@ def _cmd_simulate(cfg: dict, args) -> str:
     mc = _mc_config(cfg, args)
     scheme = _scheme_from(cfg)
     out = _out_dir(cfg, args)
-    try:
-        result = simulate_ensemble(model, scheme, mc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = simulate_ensemble(model, scheme, mc)
     summary = result.summary
     if not (math.isfinite(summary.terminal_mean) or summary.n_completed == 0):
         raise NumericError("non-finite ensemble statistics")
@@ -329,55 +357,41 @@ def _cmd_simulate(cfg: dict, args) -> str:
     _write_text(out / "histogram.csv", "".join(rows))
     wrote = 2
     if result.results is not None and mc.n_paths == 1:
-        buf = _Csv()
+        buf = io.StringIO()
         result.results[0].path.write_csv(buf)
-        _write_text(out / "path.csv", buf.text())
+        _write_text(out / "path.csv", buf.getvalue())
         wrote += 1
     return f"simulate: wrote {wrote} file(s) to {out}"
 
 
-def _stationary_block(cfg: dict) -> tuple[tuple[float, float], int]:
-    block = cfg.get("stationary", {})
-    _check_keys(block, {"interval", "n_cells"}, "stationary")
-    a, b = block.get("interval", [-3.0, 3.0])
-    n_cells = int(block.get("n_cells", 256))
-    if not float(a) < float(b) or n_cells < 2:
-        raise ConfigError("stationary.interval must satisfy a < b with n_cells >= 2")
-    return (float(a), float(b)), n_cells
-
-
 def _cmd_stationary(cfg: dict, args) -> str:
     model, _, _ = _build_model(cfg)
-    interval, n_cells = _stationary_block(cfg)
+    interval, n_cells = _grid(_block(cfg, "stationary", {"interval", "n_cells"},
+                                     "stationary"), "stationary")
     out = _out_dir(cfg, args)
     hk = _hk_form(model)
-    try:
-        dens = stationary_density(hk.f, hk.g, interval, n_cells)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    buf = _Csv()
+    dens = stationary_density(hk.f, hk.g, interval, n_cells)
+    buf = io.StringIO()
     dens.write_csv(buf)
-    _write_text(out / "density.csv", buf.text())
+    _write_text(out / "density.csv", buf.getvalue())
     return f"stationary: wrote density.csv to {out}"
 
 
 def _cmd_fpe(cfg: dict, args) -> str:
     model, _, _ = _build_model(cfg)
-    block = cfg.get("fpe", {})
-    _check_keys(block, {"interval", "n_cells", "dt", "horizon", "initial",
-                        "snapshot_every"}, "fpe")
-    a, b = (float(v) for v in block.get("interval", [-3.0, 3.0]))
-    n_cells = int(block.get("n_cells", 256))
-    horizon = float(block.get("horizon", 10.0))
-    snap = float(block.get("snapshot_every", 0.1))
-    init = block.get("initial", {"kind": "point", "x0": model.x0})
-    _check_keys(init, {"kind", "x0", "center", "width"}, "fpe.initial")
+    block = _block(cfg, "fpe", {"interval", "n_cells", "dt", "horizon", "initial",
+                                "snapshot_every"}, "fpe")
+    (a, b), n_cells = _grid(block, "fpe")
+    horizon = _num(block.get("horizon", 10.0), "fpe.horizon")
+    snap = _num(block.get("snapshot_every", 0.1), "fpe.snapshot_every")
+    init = _block(block, "initial", {"kind", "x0", "center", "width"}, "fpe.initial")
     kind = init.get("kind", "point")
     if kind == "point":
-        initial = GridDensity.point_mass(a, b, n_cells, float(init.get("x0", model.x0)))
+        initial = GridDensity.point_mass(a, b, n_cells,
+                                         _num(init.get("x0", model.x0), "fpe.initial.x0"))
     elif kind == "gaussian":
-        c = float(init.get("center", 0.0))
-        w = float(init.get("width", 0.5))
+        c = _num(init.get("center", 0.0), "fpe.initial.center")
+        w = _num(init.get("width", 0.5), "fpe.initial.width")
         initial = GridDensity.from_function(
             lambda x: np.exp(-0.5 * ((x - c) / w) ** 2), a, b, n_cells)
     elif kind == "uniform":
@@ -386,24 +400,17 @@ def _cmd_fpe(cfg: dict, args) -> str:
         raise ConfigError(f"unknown initial kind {kind!r}")
 
     hk = _hk_form(model)
-    try:
-        problem = FpeProblem(f=hk.f, g=hk.g, interval=(a, b), initial=initial,
-                             dgdx=hk.dgdx)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    problem = FpeProblem(f=hk.f, g=hk.g, interval=(a, b), initial=initial, dgdx=hk.dgdx)
     dt = block.get("dt")
-    dt = 0.9 * problem.stability_bound() if dt is None else float(dt)
-    try:
-        result = evolve_fpe(problem, dt, horizon, snapshot_every=snap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    dt = 0.9 * problem.stability_bound() if dt is None else _num(dt, "fpe.dt")
+    result = evolve_fpe(problem, dt, horizon, snapshot_every=snap)
     if not np.all(np.isfinite(result.final.values)):
         raise NumericError("forward evolution diverged")
 
     out = _out_dir(cfg, args)
-    buf = _Csv()
+    buf = io.StringIO()
     result.final.write_csv(buf)
-    _write_text(out / "density.csv", buf.text())
+    _write_text(out / "density.csv", buf.getvalue())
     target = stationary_density(hk.f, hk.g, (a, b), n_cells)
     rows = ["t,H\n"]
     for t, snap_d in zip(result.times, result.snapshots):
@@ -412,25 +419,16 @@ def _cmd_fpe(cfg: dict, args) -> str:
     return f"fpe: wrote 2 file(s) to {out}"
 
 
-_EXPERIMENT_DEFAULTS = {
-    "dt": 1e-3,
-    "n_seeds": 1000,
-    "horizon": 1.0,
-    "hitting": {"band": 1e-4, "n_paths": 1000, "dt": 1e-3, "horizon": 5.0},
-}
-
-
 def _cmd_experiment(cfg: dict, args) -> str:
     family = args.name
     if family not in FAMILIES:
         raise ConfigError(f"unknown experiment {family!r}; expected one of {FAMILIES}")
-    block = cfg.get("experiment", {})
-    _check_keys(block, {"dt", "n_seeds", "horizon", "hitting"}, "experiment")
-    dt = float(block.get("dt", _EXPERIMENT_DEFAULTS["dt"]))
-    n_seeds = int(block.get("n_seeds", _EXPERIMENT_DEFAULTS["n_seeds"]))
-    horizon = float(block.get("horizon", _EXPERIMENT_DEFAULTS["horizon"]))
-    hit_block = {**_EXPERIMENT_DEFAULTS["hitting"], **block.get("hitting", {})}
-    _check_keys(hit_block, {"band", "n_paths", "dt", "horizon"}, "experiment.hitting")
+    block = _block(cfg, "experiment", {"dt", "n_seeds", "horizon", "hitting"}, "experiment")
+    dt = _num(block.get("dt", 1e-3), "experiment.dt")
+    n_seeds = _num(block.get("n_seeds", 1000), "experiment.n_seeds", int)
+    horizon = _num(block.get("horizon", 1.0), "experiment.horizon")
+    hit = _block(block, "hitting", {"band", "n_paths", "dt", "horizon"}, "experiment.hitting")
+    band = _num(hit.get("band", 1e-4), "experiment.hitting.band")
     seed = _seed_from(cfg, args.seed)
     out = _out_dir(cfg, args)
 
@@ -447,18 +445,16 @@ def _cmd_experiment(cfg: dict, args) -> str:
 
     rest_trio = family_models(family, rest_params)
     run_trio = family_models(family, run_params)
-    try:
-        hit_cfg = McConfig(
-            n_paths=int(hit_block["n_paths"] if args.paths is None else args.paths),
-            dt=float(hit_block["dt"]),
-            horizon=float(hit_block["horizon"]),
-            seed=seed.shifted(10_000),
-            record="terminal",
-        )
-        report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)
-        hitting = boundary_hitting_study(run_trio, level, float(hit_block["band"]), hit_cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    hit_cfg = McConfig(
+        n_paths=_num(hit.get("n_paths", 1000) if args.paths is None else args.paths,
+                     "experiment.hitting.n_paths", int),
+        dt=_num(hit.get("dt", 1e-3), "experiment.hitting.dt"),
+        horizon=_num(hit.get("horizon", 5.0), "experiment.hitting.horizon"),
+        seed=seed.shifted(10_000),
+        record="terminal",
+    )
+    report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)
+    hitting = boundary_hitting_study(run_trio, level, band, hit_cfg)
 
     members = []
     for diag in report.members:
@@ -511,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config else {}
         summary = _DISPATCH[args.command](cfg, args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, and every input check of the library
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

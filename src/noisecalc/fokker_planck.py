@@ -252,6 +252,8 @@ def evolve_fpe(
     update telescopes interface fluxes with both boundary faces at zero.
     """
     bound = problem.stability_bound()
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if dt > bound:
         raise ValueError(f"dt={dt} violates the stability bound; admissible dt <= {bound:.3e}")
     if horizon < dt:

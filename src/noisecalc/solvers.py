@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 _DOMAIN_TOL = 1e-12
+# Steps of noise drawn per path at a time by the engine and the kinetic oracle.
+_CHUNK = 512
 
 
 class SolverScheme(enum.Enum):
@@ -300,12 +302,11 @@ def _run_engine(
     *,
     record: str = "terminal",
     record_stride: int = 1,
-    log_events: bool = False,
     hit_level: float | None = None,
     hit_band: float = 0.0,
-    freeze_on_hit: bool = False,
-    chunk: int = 512,
 ) -> _Raw:
+    """Step ``n_paths`` seeded paths; recorded paths also log their events,
+    and with a ``hit_level`` each path freezes at its first hit."""
     f, g, rule = _effective(model, scheme)
     lo, hi = model.domain
     if isinstance(boundary, Reflect):
@@ -317,7 +318,7 @@ def _run_engine(
     sqdt = np.sqrt(dts)
     x0 = float(model.x0)
     raw = _Raw(n_paths, x0, n_steps)
-    if log_events:
+    if record == "path":
         raw.events = [[] for _ in range(n_paths)]
 
     rec_lookup: dict[int, int] = {}
@@ -340,8 +341,7 @@ def _run_engine(
         if in_band:
             raw.hit_time[:] = times[0]
             raw.final_step[:] = 0
-            if freeze_on_hit:
-                running[:] = False
+            running[:] = False
 
     gens = [seed.shifted(i).generator() for i in range(n_paths)]
 
@@ -375,7 +375,7 @@ def _run_engine(
         act_idx = np.flatnonzero(running)
         if act_idx.size == 0:
             break
-        width = min(chunk, n_steps - step)
+        width = min(_CHUNK, n_steps - step)
         z = np.empty((act_idx.size, width))
         for row, i in enumerate(act_idx):
             z[row] = gens[i].standard_normal(width)
@@ -446,10 +446,9 @@ def _run_engine(
                         raw.hit_time[just_hit] = t_next
                         for j, i in enumerate(just_hit):
                             _log(i, EventKind.HIT_LEVEL, t_next, float(prop_safe[new][j]))
-                        if freeze_on_hit:
-                            raw.terminal[just_hit] = prop_safe[new]
-                            raw.final_step[just_hit] = k + 1
-                            alive[rows[new]] = False
+                        raw.terminal[just_hit] = prop_safe[new]
+                        raw.final_step[just_hit] = k + 1
+                        alive[rows[new]] = False
 
             if raw.recorded is not None and (k + 1) in rec_lookup:
                 raw.recorded[rec_lookup[k + 1]] = x
@@ -493,7 +492,7 @@ def simulate_path(
     """Simulate one path of ``model`` under ``scheme`` on ``grid``."""
     raw = _run_engine(
         model, scheme, grid.points, 1, seed, boundary,
-        record="path", record_stride=1, log_events=True,
+        record="path", record_stride=1,
     )
     return _path_result(raw, grid.points, 0)
 
@@ -535,7 +534,6 @@ def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> E
     raw = _run_engine(
         model, scheme, times, cfg.n_paths, cfg.seed, cfg.boundary,
         record=cfg.record, record_stride=cfg.record_stride,
-        log_events=cfg.record == "path",
     )
     results = None
     if cfg.record == "path":
@@ -559,7 +557,7 @@ def simulate_reflected(
     times = cfg.times()
     raw = _run_engine(
         model, scheme, times, 1, cfg.seed, Reflect(a, b),
-        record="path", record_stride=cfg.record_stride, log_events=True,
+        record="path", record_stride=cfg.record_stride,
     )
     return _path_result(raw, times, 0)
 
@@ -582,7 +580,7 @@ def hitting_time(
     times = cfg.times()
     raw = _run_engine(
         model, scheme, times, cfg.n_paths, cfg.seed, cfg.boundary,
-        record="terminal", hit_level=level, hit_band=band, freeze_on_hit=True,
+        record="terminal", hit_level=level, hit_band=band,
     )
     return _hitting_stats(level, band, cfg.n_paths, raw.hit_time)
 
@@ -684,7 +682,6 @@ def exact_kinetic_terminal(
 def kinetic_oracle_hitting(
     delta: int, m: float, gamma: float, sigma: float,
     v0s: Sequence[float], level: float, band: float, cfg: McConfig,
-    chunk: int = 512,
 ) -> HittingStats:
     """Ensemble first-passage statistics of the exact kinetic oracle.
 
@@ -717,7 +714,7 @@ def kinetic_oracle_hitting(
     active = np.arange(n)
     step = 0
     while step < n_steps and active.size:
-        width = min(chunk, n_steps - step)
+        width = min(_CHUNK, n_steps - step)
         z = np.empty((active.size, delta, width))
         for row, i in enumerate(active):
             for c in range(delta):

@@ -275,3 +275,78 @@ def test_options_a_command_does_not_take_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+_OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
+                  "domain": [None, None], "x0": 0.0}}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"interval": [0]}},
+                 id="stationary-interval-one-number"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"n_cells": "a"}},
+                 id="stationary-n_cells-string"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"interval": [0]}},
+                 id="fpe-interval-one-number"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"horizon": None}},
+                 id="fpe-horizon-null"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 1}},
+                 id="fpe-one-cell"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {
+        "initial": {"kind": "gaussian", "width": "w"}}},
+                 id="fpe-gaussian-width-string"),
+    pytest.param(["fpe"], {"model": {"custom": {**_OU["custom"], "x0": 5.0}},
+                           "fpe": {"n_cells": 16, "horizon": 0.1}},
+                 id="fpe-point-start-outside-interval"),
+    pytest.param(["experiment", "langevin1"], {"experiment": {"dt": "abc"}},
+                 id="experiment-dt-string"),
+    pytest.param(["experiment", "langevin1"], {"experiment": {"hitting": [1]}},
+                 id="experiment-hitting-list"),
+    pytest.param(["integrate"], {"integrate": {"rules": ["up"]}},
+                 id="integrate-unknown-rule"),
+    pytest.param(["integrate"], {"integrate": {"t0": 1, "t1": 0}},
+                 id="integrate-reversed-interval"),
+    pytest.param(["integrate", "--seed", "-1"], {"integrate": {"base_steps": 8, "levels": 1}},
+                 id="integrate-negative-seed"),
+    pytest.param(["integrate"], {"run": {"bogus": 1}},
+                 id="integrate-unknown-run-key"),
+    pytest.param(["convert"], {"model": _OU, "convert": {"xs": [1, 2]}},
+                 id="convert-xs-two-numbers"),
+    pytest.param(["convert"], {"model": {"custom": {**_OU["custom"], "x0": "a"}}},
+                 id="convert-x0-string"),
+    pytest.param(["convert"], {"model": {"custom": 5}},
+                 id="convert-custom-number"),
+    pytest.param(["simulate"], {"model": _OU, "run": 5},
+                 id="simulate-run-number"),
+    pytest.param(["simulate"], {"model": _OU, "run": {"n_paths": [1]}},
+                 id="simulate-n_paths-list"),
+    pytest.param(["simulate"], {"model": {"family": "langevin1", "interpretation": "foo"}},
+                 id="simulate-unknown-interpretation"),
+    pytest.param(["simulate"], {"model": {"family": "relativistic", "params": {"M": 0}}},
+                 id="simulate-relativistic-zero-mass"),
+])
+def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
+    cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
+    assert main([*argv, "--config", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["integrate"], {"run": {"seed": {"master": 4}},
+                     "integrate": {"phi": "x^2", "base_steps": 16, "levels": 2}}),
+    (["convert"], {"model": _OU, "convert": {"xs": [-1.0, 1.0, 7]}}),
+    (["stationary"], {"model": _OU, "stationary": {"interval": [-2.0, 2.0], "n_cells": 16}}),
+    (["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.2,
+                                     "snapshot_every": 0.1}}),
+    (["experiment", "langevin1"], {"experiment": {
+        "n_seeds": 20, "dt": 1e-2, "horizon": 0.1,
+        "hitting": {"n_paths": 10, "dt": 1e-2, "horizon": 0.2}}}),
+], ids=["integrate", "convert", "stationary", "fpe", "experiment"])
+def test_every_command_is_byte_reproducible(tmp_path, argv, payload):
+    cfg = _write_config(tmp_path, payload)
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main([*argv, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[0] and runs[0] == runs[1]

@@ -91,6 +91,15 @@ def test_cfl_violation_rejected_with_admissible_dt():
         evolve_fpe(prob, 2 * bound, 1.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_non_positive_dt_rejected(dt):
+    # unchecked, dt = 0 divides by zero and a negative dt takes no step and succeeds
+    init = GridDensity.uniform(-1.0, 1.0, 16)
+    prob = FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve_fpe(prob, dt, 1.0)
+
+
 def test_flux_uniform_no_drift_is_zero():
     p = GridDensity.uniform(0.0, 1.0, 64)
     j = probability_flux(p, ZERO, ONE, dgdx=ZERO)
