@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,8 @@ def _cmd_convert(cfg: dict, args) -> str:
 def _cmd_simulate(cfg: dict, args) -> str:
     model, _, _ = _build_model(cfg)
     mc = _mc_config(cfg, args)
+    if mc.n_paths > 1:  # histories and events only shape path.csv, written for one path
+        mc = replace(mc, record="terminal")
     scheme = _scheme_from(cfg)
     out = _out_dir(cfg, args)
     result = simulate_ensemble(model, scheme, mc)
@@ -356,7 +359,7 @@ def _cmd_simulate(cfg: dict, args) -> str:
         rows.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{float(dens[i])!r}\n")
     _write_text(out / "histogram.csv", "".join(rows))
     wrote = 2
-    if result.results is not None and mc.n_paths == 1:
+    if result.results is not None:
         buf = io.StringIO()
         result.results[0].path.write_csv(buf)
         _write_text(out / "path.csv", buf.getvalue())

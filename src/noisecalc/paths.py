@@ -224,14 +224,18 @@ def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:
     """
     if factor < 2:
         raise ValueError(f"refinement factor must be >= 2, got {factor}")
-    t = path.grid.points
-    w = path.values
-    n = path.grid.n_steps
-    if n < 1:
+    if path.grid.n_steps < 1:
         raise ValueError("cannot refine a single-point path")
+    # a helper, so that the bridge's temporaries are freed before the new
+    # path copies its two arrays: this lowers the peak memory of a refinement
+    new_t, new_w = _bridge_points(path.grid.points, path.values, factor, seed)
+    return SamplePath(TimeGrid(new_t), new_w)
 
-    widths = np.diff(t)
-    sub = widths / factor
+
+def _bridge_points(t: np.ndarray, w: np.ndarray, factor: int,
+                   seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
+    n = t.size - 1
+    sub = np.diff(t) / factor
     new_t = np.empty(n * factor + 1)
     new_w = np.empty(n * factor + 1)
     new_t[::factor] = t
@@ -251,5 +255,4 @@ def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:
         new_t[k::factor] = tau_next
         new_w[k::factor] = x
         tau = tau_next
-
-    return SamplePath(TimeGrid(new_t), new_w)
+    return new_t, new_w

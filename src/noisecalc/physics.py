@@ -22,14 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .paths import SamplePath, SeedSpec, TimeGrid, _check_same_grid, generate_brownian_vector
-from .sde import EvaluationRule, Interpretation, SdeModel
+from .sde import Interpretation, SdeModel
 from .solvers import (
     HittingStats,
     McConfig,
     Reflect,
     STOP_ON_VIOLATION,
     SolverScheme,
-    _plain_terminal,
     _run_engine,
     hitting_time,
     scheme_for,
@@ -281,11 +280,17 @@ def langevin_velocity_pair(
     drivers = generate_brownian_vector(grid, 2, seed)
     k = params.gamma / params.m
     s = params.sigma / params.m
-    uv = np.empty((2, len(grid)))
-    _plain_terminal(lambda x, t: -k * x, lambda x, t: s, EvaluationRule.LEFT,
-                    np.array([params.u0, params.v0]), grid.points,
-                    drivers.increments().T, out=uv)
-    return (SamplePath(grid, uv[0]), SamplePath(grid, uv[1]),
+    # the left-rule Euler step of the shared stepper, in Python floats: on
+    # two components numpy's per-call cost exceeds the arithmetic
+    u, v = float(params.u0), float(params.v0)
+    us, vs = [u], [v]
+    db, dw = drivers.increments().T.tolist()
+    for dt, b, w in zip(grid.spacings.tolist(), db, dw):
+        u = u + -k * u * dt + s * b
+        v = v + -k * v * dt + s * w
+        us.append(u)
+        vs.append(v)
+    return (SamplePath(grid, np.array(us)), SamplePath(grid, np.array(vs)),
             drivers.component(0), drivers.component(1))
 
 

@@ -770,12 +770,12 @@ def _plain_terminal(f, g, rule, x0, times, dw, out=None):
     if out is not None:
         out[:, 0] = x
     dts = np.diff(times)
-    for k in range(dw.shape[1]):
+    for k, dw_k in enumerate(dw.T):  # one row of the transpose per step
         t_now, dt = times[k], dts[k]
-        drift, x_next = _predict(f, g, x, t_now, dt, dw[:, k])
+        drift, x_next = _predict(f, g, x, t_now, dt, dw_k)
         if rule is not EvaluationRule.LEFT:
             point, t_eval = _corrector_point(rule, x, x_next, t_now, times[k + 1], dt)
-            x_next = x + drift * dt + np.asarray(g(point, t_eval), dtype=float) * dw[:, k]
+            x_next = x + drift * dt + np.asarray(g(point, t_eval), dtype=float) * dw_k
         x = x_next
         if out is not None:
             out[:, k + 1] = x

@@ -153,6 +153,36 @@ def test_single_path_dump(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("n_paths, record", [(1, "path"), (5, "terminal")])
+def test_simulate_records_histories_only_for_path_csv(tmp_path, monkeypatch, n_paths, record):
+    import noisecalc.cli as cli
+
+    seen = []
+    run = cli.simulate_ensemble
+
+    def spy(model, scheme, mc):
+        seen.append(mc.record)
+        return run(model, scheme, mc)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", spy)
+    payload = {
+        "model": {"family": "langevin1", "params": {"v0": 1.0}},
+        "run": {"n_paths": n_paths, "dt": 0.1, "horizon": 1.0, "seed": {"master": 3},
+                "boundary": {"reflect": [0.0, None]}, "record": "path", "record_stride": 2},
+    }
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        cfg = _write_config(tmp_path, payload, f"{name}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        payload["run"]["record"] = "terminal"
+    assert seen == [record, "terminal"]
+    # the recording mode changes no byte of the ensemble outputs
+    assert {k: v for k, v in outs[0].items() if k != "path.csv"} == outs[1]
+    assert ("path.csv" in outs[0]) == (n_paths == 1)
+
+
 def test_stationary_uniform(tmp_path):
     cfg = _write_config(tmp_path, {
         "model": {"custom": {"f": "0", "g": "1", "interpretation": "hk",
@@ -298,6 +328,12 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["fpe"], {"model": {"custom": {**_OU["custom"], "x0": 5.0}},
                            "fpe": {"n_cells": 16, "horizon": 0.1}},
                  id="fpe-point-start-outside-interval"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.1,
+                                                 "snapshot_every": -1}},
+                 id="fpe-negative-snapshot-interval"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.1,
+                                                 "snapshot_every": 0}},
+                 id="fpe-zero-snapshot-interval"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"dt": "abc"}},
                  id="experiment-dt-string"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"hitting": [1]}},

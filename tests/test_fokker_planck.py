@@ -100,6 +100,127 @@ def test_non_positive_dt_rejected(dt):
         evolve_fpe(prob, dt, 1.0)
 
 
+def _minmod(a, b):
+    out = np.where((a > 0) & (b > 0), np.minimum(a, b), 0.0)
+    return np.where((a < 0) & (b < 0), np.maximum(a, b), out)
+
+
+def _reference_evolve(problem, dt, horizon, snapshot_every):
+    """The step loop that the buffered evolver replaced, with its own
+    temporaries and concatenations; returns (final, times, snapshots,
+    mass_drift) as plain values."""
+    a, b = problem.interval
+    n = problem.initial.n_cells
+    dx = problem.initial.dx
+    interfaces = a + np.arange(1, n) * dx
+    g_c = np.asarray(problem.g(problem.initial.centers, 0.0), dtype=float)
+    diff_c = 0.5 * g_c**2
+    w_i = problem.velocity(interfaces)
+    w_plus = w_i > 0
+
+    p = problem.initial.values.copy()
+    n_steps = round(horizon / dt)
+    snap_stride = max(1, round(snapshot_every / dt))
+    times = [0.0]
+    snaps = [GridDensity(a, b, p).values]
+    mass0 = p.sum() * dx
+    slopes = np.empty(n)
+    for k in range(n_steps):
+        slopes[1:-1] = _minmod(p[1:-1] - p[:-2], p[2:] - p[1:-1])
+        slopes[0] = 0.0
+        slopes[-1] = 0.0
+        up = p[:-1] + 0.5 * slopes[:-1]
+        down = p[1:] - 0.5 * slopes[1:]
+        adv = w_i * np.where(w_plus, up, down)
+        dif = (diff_c[1:] * p[1:] - diff_c[:-1] * p[:-1]) / dx
+        j_interior = adv - dif
+        p = p - (dt / dx) * (np.concatenate([j_interior, [0.0]])
+                             - np.concatenate([[0.0], j_interior]))
+        if (k + 1) % snap_stride == 0:
+            times.append((k + 1) * dt)
+            snaps.append(GridDensity(a, b, p).values)
+    final = GridDensity(a, b, p).values
+    if times[-1] != n_steps * dt:
+        times.append(n_steps * dt)
+        snaps.append(final)
+    return final, tuple(times), snaps, float(abs(p.sum() * dx - mass0))
+
+
+def _zero_start(n):
+    # a point mass whose empty cells alternate -0.0 and +0.0, so that cell
+    # differences are signed zeros too: the limiter must keep each sign
+    vals = np.zeros(n)
+    vals[::2] = -0.0
+    vals[n // 3] = 1.0
+    return vals
+
+
+@pytest.mark.parametrize("case", ["ou-gaussian", "hk-double-well", "point-mass",
+                                  "signed-zero-point-mass", "uniform"])
+def test_evolver_equals_reference_loop_bitwise(case):
+    n = 96
+    well_g = lambda x, t: 0.5 + 0.1 * np.asarray(x, dtype=float) ** 2
+    well_dg = lambda x, t: 0.2 * np.asarray(x, dtype=float)
+    if case == "ou-gaussian":
+        f, g, dg, interval = NEG_X, SQRT2, ZERO, (-3.0, 3.0)
+        init = GridDensity.from_function(
+            lambda x: np.exp(-0.5 * ((x - 1.0) / 0.5) ** 2), -3.0, 3.0, n)
+    elif case == "hk-double-well":
+        # the velocity changes sign, so both upwind branches run
+        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        init = GridDensity.from_function(
+            lambda x: np.exp(-2.0 * (x - 0.3) ** 2), -2.0, 2.0, n)
+    elif case == "point-mass":
+        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        init = GridDensity.point_mass(-2.0, 2.0, n, 0.7)
+    elif case == "signed-zero-point-mass":
+        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        init = GridDensity(-2.0, 2.0, _zero_start(n))
+    else:
+        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        init = GridDensity.uniform(-2.0, 2.0, n)
+    prob = FpeProblem(f=f, g=g, interval=interval, initial=init, dgdx=dg)
+    dt = 0.9 * prob.stability_bound()
+    # few steps keep exact zeros alive in the point-mass cases
+    horizon = 40 * dt if "point" in case else 0.5
+    res = evolve_fpe(prob, dt, horizon, snapshot_every=7 * dt)
+    final, times, snaps, drift = _reference_evolve(prob, dt, horizon, 7 * dt)
+    assert np.array_equal(res.final.values, final)
+    assert np.array_equal(np.signbit(res.final.values), np.signbit(final))
+    assert res.times == times
+    assert len(res.snapshots) == len(snaps)
+    for got, ref in zip(res.snapshots, snaps):
+        assert np.array_equal(got.values, ref)
+        assert np.array_equal(np.signbit(got.values), np.signbit(ref))
+    assert res.mass_drift == drift
+
+
+@pytest.mark.parametrize("every", [-1.0, 0.0, math.nan])
+def test_non_positive_snapshot_interval_rejected(every):
+    init = GridDensity.uniform(-1.0, 1.0, 16)
+    prob = FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        evolve_fpe(prob, 0.5 * prob.stability_bound(), 0.1, snapshot_every=every)
+
+
+def test_no_snapshots_keeps_start_and_end():
+    init = GridDensity.uniform(-1.0, 1.0, 16)
+    prob = FpeProblem(f=NEG_X, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    dt = 0.5 * prob.stability_bound()
+    res = evolve_fpe(prob, dt, 20 * dt, snapshot_every=None)
+    assert res.times == (0.0, 20 * dt)
+    assert res.snapshots[-1] is res.final
+
+
+def test_grid_density_copies_the_callers_array():
+    arr = np.full(8, 1.0)
+    d = GridDensity(0.0, 1.0, arr)
+    assert arr.flags.writeable
+    assert not d.values.flags.writeable
+    arr[0] = 5.0
+    assert d.values[0] == 1.0
+
+
 def test_flux_uniform_no_drift_is_zero():
     p = GridDensity.uniform(0.0, 1.0, 64)
     j = probability_flux(p, ZERO, ONE, dgdx=ZERO)
