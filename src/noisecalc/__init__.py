@@ -61,4 +61,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

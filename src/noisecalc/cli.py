@@ -453,7 +453,7 @@ def _cmd_experiment(cfg: dict, args) -> str:
                      "experiment.hitting.n_paths", int),
         dt=_num(hit.get("dt", 1e-3), "experiment.hitting.dt"),
         horizon=_num(hit.get("horizon", 5.0), "experiment.hitting.horizon"),
-        seed=seed.shifted(10_000),
+        seed=seed,
         record="terminal",
     )
     report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)

@@ -242,6 +242,10 @@ def evolve_fpe(
 ) -> FpeResult:
     """March the forward equation to ``horizon`` with explicit Euler steps.
 
+    The march takes ``n = ceil(horizon / dt)`` equal steps of
+    ``horizon / n``: no step is longer than ``dt``, and the last one ends
+    at ``horizon`` exactly.
+
     Rejects ``dt`` above the recorded stability bound (the admissible value
     is part of the message), and a ``snapshot_every`` that is neither
     ``None`` (no snapshots) nor positive.  Mass is conserved to rounding
@@ -280,7 +284,10 @@ def evolve_fpe(
     w_plus = w_i > 0
 
     p = problem.initial.values.copy()
-    n_steps = round(horizon / dt)
+    n_steps = math.ceil(horizon / dt)
+    if horizon / n_steps > dt:  # horizon / dt was rounded down onto an integer
+        n_steps += 1
+    dt = horizon / n_steps
     snap_stride = None if snapshot_every is None else max(1, round(snapshot_every / dt))
     times = [0.0]
     snaps = [GridDensity(a, b, p)]
@@ -328,18 +335,15 @@ def evolve_fpe(
         np.multiply(dt_dx, change, out=change)
         np.subtract(p, change, out=nxt[0])
         cur, nxt = nxt, cur
-        if snap_stride and (k + 1) % snap_stride == 0:
+        if snap_stride and (k + 1) % snap_stride == 0 and k + 1 < n_steps:
             times.append((k + 1) * dt)
             snaps.append(GridDensity(a, b, cur[0]))
 
     p = cur[0]
     mass_drift = abs(p.sum() * dx - mass0)
     final = GridDensity(a, b, p)
-    if not snap_stride:
-        times, snaps = [0.0, n_steps * dt], [snaps[0], final]
-    elif times[-1] != n_steps * dt:
-        times.append(n_steps * dt)
-        snaps.append(final)
+    times.append(horizon)
+    snaps.append(final)
     return FpeResult(final, tuple(times), tuple(snaps), float(mass_drift))
 
 

@@ -2,9 +2,15 @@
 
 Grids are explicit point sequences so non-uniform partitions are first-class;
 a uniform constructor is provided for convenience.  Every random operation is
-a pure function of its inputs and a :class:`SeedSpec`, which makes ensembles
-order-independent: path ``i`` always sees the same draws no matter how many
-other paths run, or in what order.
+a pure function of its inputs and a :class:`SeedSpec`.
+
+Ensembles draw through :class:`PathNoise`: path ``i`` of a run seeded
+``(master, stream, key)`` is path number ``p = stream + i``, and its noise
+is column ``p % BLOCK`` of block ``p // BLOCK``.  Each block has one
+generator and draws step-major ``(width, BLOCK)`` tiles, so the draw of
+path ``p`` at step ``s`` depends only on ``(master, key, p, s)``: not on
+how many other paths run, on how the steps are chunked, or on when other
+paths stop.
 """
 from __future__ import annotations
 
@@ -14,7 +20,9 @@ from typing import TextIO
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "SeedSpec",
+    "PathNoise",
     "TimeGrid",
     "SamplePath",
     "VectorPath",
@@ -24,15 +32,24 @@ __all__ = [
 ]
 
 
+# Paths per noise block: one generator serves BLOCK consecutive paths.
+BLOCK = 64
+# Last spawn-key word of every block stream, which keeps block streams apart
+# from single-stream users of the same (master, stream, key).
+_BLOCK_TAG = 0x626C6B
+
+
 @dataclass(frozen=True)
 class SeedSpec:
-    """A 64-bit master seed plus a non-negative stream index.
+    """A 64-bit master seed, a non-negative stream index and a spawn key.
 
-    The pair ``(master, stream)`` fully determines every draw of any
-    operation consuming it.  Streams are mixed into generator state through
-    ``numpy.random.SeedSequence([master, stream])``; derived substreams are
-    plain integer offsets of ``stream``, so parallel ensembles reproduce
-    serial ones draw for draw.
+    The triple ``(master, stream, key)`` fully determines every draw of any
+    operation consuming it.  Generator state comes from
+    ``numpy.random.SeedSequence([master, stream], spawn_key=key)``; with
+    the default empty key this is ``SeedSequence([master, stream])``.
+    Derived substreams are integer offsets of ``stream``
+    (:meth:`shifted`); independent studies take named keys
+    (:meth:`child`), so they cannot collide at any stream offset.
 
     Gaussian variates come from ``Generator.standard_normal`` (ziggurat).
     Bit-exact reproducibility is promised within one build of this package,
@@ -41,19 +58,66 @@ class SeedSpec:
 
     master: int
     stream: int = 0
+    key: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.master) < 2**64:
             raise ValueError(f"master seed must be a 64-bit unsigned integer, got {self.master}")
         if int(self.stream) < 0:
             raise ValueError(f"stream index must be non-negative, got {self.stream}")
+        key = tuple(int(k) for k in self.key)
+        if any(k < 0 for k in key):
+            raise ValueError(f"spawn key words must be non-negative, got {self.key}")
+        object.__setattr__(self, "key", key)
 
     def shifted(self, offset: int) -> "SeedSpec":
-        """Substream at ``stream + offset``."""
-        return SeedSpec(self.master, self.stream + offset)
+        """Substream at ``stream + offset``, same key."""
+        return SeedSpec(self.master, self.stream + offset, self.key)
+
+    def child(self, *key: int) -> "SeedSpec":
+        """The same stream under the spawn key extended by ``key``."""
+        return SeedSpec(self.master, self.stream, self.key + key)
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.master, self.stream]))
+        return np.random.default_rng(
+            np.random.SeedSequence([self.master, self.stream], spawn_key=self.key))
+
+
+class PathNoise:
+    """Standard normals for the ``n_paths`` paths of a run seeded ``seed``.
+
+    Path ``i`` is path number ``p = seed.stream + i``: column ``p % BLOCK``
+    of block ``p // BLOCK``, whose generator is
+    ``SeedSpec(seed.master, p // BLOCK, seed.key + (tag,)).generator()``.
+    Every block covering the run is opened here, once.
+    """
+
+    def __init__(self, seed: SeedSpec, n_paths: int):
+        p = seed.stream + np.arange(n_paths)
+        first = seed.stream // BLOCK
+        self._block = p // BLOCK - first
+        self._col = p % BLOCK
+        self._gens = [
+            SeedSpec(seed.master, b, seed.key + (_BLOCK_TAG,)).generator()
+            for b in range(first, first + int(self._block[-1]) + 1)
+        ]
+
+    def draw(self, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``width`` steps of noise of the paths ``ids``, as
+        ``(tiles, at)``: path ``ids[j]``'s draw at step ``s`` of the call is
+        ``tiles[at[j] + s * BLOCK]``.
+
+        Each call advances every block holding one of ``ids`` by ``width``
+        steps, once, however many of its paths are asked for.  A block left
+        out of a call has no further draws, so leave a path out only once it
+        and every other path of its block have stopped.  The tiles are drawn
+        in place and handed out uncopied.
+        """
+        blocks, where = np.unique(self._block[ids], return_inverse=True)
+        tiles = np.empty((blocks.size, width, BLOCK))
+        for j, b in enumerate(blocks):
+            self._gens[b].standard_normal(out=tiles[j])
+        return tiles.reshape(-1), where * (width * BLOCK) + self._col[ids]
 
 
 def _frozen_array(values, dtype=np.float64, ndim: int = 1) -> np.ndarray:
@@ -202,14 +266,14 @@ def generate_brownian(grid: TimeGrid, seed: SeedSpec) -> SamplePath:
 def generate_brownian_vector(grid: TimeGrid, m: int, seed: SeedSpec) -> VectorPath:
     """``m`` independent scalar Brownian paths stacked into a VectorPath.
 
-    Component ``c`` draws from the substream ``(master, stream*m + c)``, so
-    ``m = 1`` reproduces :func:`generate_brownian` exactly.
+    Component ``c`` draws from the substream ``stream*m + c`` (same master
+    and key), so ``m = 1`` reproduces :func:`generate_brownian` exactly.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     cols = []
     for c in range(m):
-        sub = SeedSpec(seed.master, seed.stream * m + c)
+        sub = SeedSpec(seed.master, seed.stream * m + c, seed.key)
         cols.append(generate_brownian(grid, sub).values)
     return VectorPath(grid, np.column_stack(cols))
 

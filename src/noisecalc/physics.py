@@ -349,9 +349,15 @@ class RestStartReport:
         raise KeyError(interpretation)
 
 
+# Spawn-key words of the two boundary studies: a study's members run under
+# ``seed.child(study)``, so the studies never share noise, whatever n_paths.
+REST_START, HITTING = 1, 2
+
+
 def _member_config(model: SdeModel, offset: int, n_paths: int, dt: float,
                    horizon: float, seed: SeedSpec) -> McConfig:
-    """Terminal-only run of the ``offset``-th member on its own seed block.
+    """Terminal-only run of the ``offset``-th member on its own path block,
+    paths ``offset * n_paths + [0, n_paths)`` of ``seed``.
 
     Ito and Stratonovich members reflect at the domain edge; the HK member
     stops on violation, so an escape is observed rather than masked.
@@ -382,12 +388,13 @@ def rest_start_diagnostics(
     deterministic first-step drift contribution, the fraction of paths
     with a domain violation, the fraction strictly inside the open domain
     at the horizon, and the fraction that never left the starting point.
+    Members use disjoint path blocks of ``seed.child(REST_START)``.
     """
     members = []
     for offset, model in enumerate(trio.members()):
         scheme = scheme_for(model.interpretation)
         lo, hi = model.domain
-        cfg = _member_config(model, offset, n_seeds, dt, horizon, seed)
+        cfg = _member_config(model, offset, n_seeds, dt, horizon, seed.child(REST_START))
         raw = _run_engine(model, scheme, cfg.times(), cfg.n_paths, cfg.seed,
                           cfg.boundary, record="terminal")
         interior = raw.completed & (raw.terminal > lo) & (raw.terminal < hi)
@@ -413,12 +420,12 @@ def boundary_hitting_study(
 
     Ito and Stratonovich members reflect at the domain edge; the HK member
     stops on violation (a violating value through the band counts as a
-    hit).  Members use disjoint seed blocks.
+    hit).  Members use disjoint path blocks of ``cfg.seed.child(HITTING)``.
     """
     out: dict[Interpretation, HittingStats] = {}
     for offset, model in enumerate(trio.members()):
         member_cfg = _member_config(model, offset, cfg.n_paths, cfg.dt, cfg.horizon,
-                                    cfg.seed)
+                                    cfg.seed.child(HITTING))
         out[model.interpretation] = hitting_time(
             model, scheme_for(model.interpretation), level, band, member_cfg)
     return out

@@ -21,9 +21,13 @@ boundary ``None``); within tolerance it is clamped to the edge, which
 distinguishes genuine boundary pathologies from rounding.  Reflection folds
 the state back into the interval and logs each fold.
 
-Ensembles are vectorized across paths but every path draws from its own
-substream ``(master, stream + i)``, so results are independent of execution
-order and of how many other paths run.
+Ensembles are vectorized across paths.  Path ``i`` of a run seeded
+``(master, stream, key)`` draws its noise through
+:class:`~noisecalc.paths.PathNoise` as path number ``stream + i`` (one
+column of a 64-path block stream), so a path's draws are independent of how
+many other paths run, of the 512-step chunking and of when paths stop; a
+run seeded ``SeedSpec(m, i)`` equals path ``i`` of one seeded
+``SeedSpec(m)``.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import SamplePath, SeedSpec, TimeGrid, generate_brownian, refine_bridge
+from .paths import BLOCK, PathNoise, SamplePath, SeedSpec, TimeGrid, generate_brownian, refine_bridge
 from .sde import EvaluationRule, Interpretation, SdeModel, to_ito
 
 __all__ = [
@@ -343,7 +347,7 @@ def _run_engine(
             raw.final_step[:] = 0
             running[:] = False
 
-    gens = [seed.shifted(i).generator() for i in range(n_paths)]
+    noise = PathNoise(seed, n_paths)
 
     def _log(i: int, kind_: EventKind, t: float, v: float) -> None:
         if raw.events is not None:
@@ -376,9 +380,7 @@ def _run_engine(
         if act_idx.size == 0:
             break
         width = min(_CHUNK, n_steps - step)
-        z = np.empty((act_idx.size, width))
-        for row, i in enumerate(act_idx):
-            z[row] = gens[i].standard_normal(width)
+        tiles, at = noise.draw(act_idx, width)
         alive = np.ones(act_idx.size, dtype=bool)
 
         for c in range(width):
@@ -388,7 +390,7 @@ def _run_engine(
             k = step + c
             t_now, t_next, dt = times[k], times[k + 1], dts[k]
             ids = act_idx[rows]
-            dw = sqdt[k] * z[rows, c]
+            dw = sqdt[k] * tiles[at[rows] + c * BLOCK]
             xa = x[ids]
             drift, prop = _predict(f, g, xa, t_now, dt, dw)
 
@@ -455,6 +457,7 @@ def _run_engine(
 
         running[act_idx] = alive
         step += width
+        del tiles  # frees this chunk's noise before the next chunk draws
 
     finished = raw.completed & (raw.final_step == n_steps)
     raw.terminal[finished] = x[finished]
@@ -524,7 +527,7 @@ def _summarize(model, scheme, cfg, raw, hitting=None) -> EnsembleSummary:
 
 
 def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> EnsembleResult:
-    """Independent paths on substreams ``(master, stream + i)``.
+    """Independent paths numbered ``stream + i`` of ``cfg.seed``.
 
     Per-path errors become events, never abort the ensemble; the summary is
     a pure function of ``(model, scheme, cfg)`` regardless of execution
@@ -571,7 +574,7 @@ def hitting_time(
 ) -> HittingStats:
     """First-passage statistics of the band around ``level``.
 
-    Paths freeze at their first hit (their noise stream stops there); a
+    Paths freeze at their first hit (their noise is not used after it); a
     fatal domain violation whose value crossed the band also counts as a
     hit at that time.
     """
@@ -653,7 +656,7 @@ def exact_kinetic_oracle(
         raise ValueError(f"need {delta} initial velocities, got {len(v0s)}")
     total = np.zeros(len(grid))
     for c in range(delta):
-        sub = SeedSpec(seed.master, seed.stream * delta + c)
+        sub = SeedSpec(seed.master, seed.stream * delta + c, seed.key)
         v = exact_ou_path(m, gamma, sigma, v0s[c], grid, sub).values
         total += v * v
     return SamplePath(grid, 0.5 * m * total)
@@ -672,7 +675,7 @@ def exact_kinetic_terminal(
     for i in range(n_paths):
         total = 0.0
         for c in range(delta):
-            gen = SeedSpec(seed.master, (seed.stream + i) * delta + c).generator()
+            gen = SeedSpec(seed.master, (seed.stream + i) * delta + c, seed.key).generator()
             v = v0s[c] * decay + scale * gen.standard_normal()
             total += v * v
         out[i] = 0.5 * m * total
@@ -700,7 +703,7 @@ def kinetic_oracle_hitting(
     decay, scale = _ou_coefficients(m, gamma, sigma, cfg.dt)
 
     gens = [
-        [SeedSpec(cfg.seed.master, (cfg.seed.stream + i) * delta + c).generator()
+        [SeedSpec(cfg.seed.master, (cfg.seed.stream + i) * delta + c, cfg.seed.key).generator()
          for c in range(delta)]
         for i in range(n)
     ]

@@ -1,5 +1,7 @@
 import numpy as np
 
+from noisecalc.paths import BLOCK, PathNoise
+
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
@@ -22,3 +24,10 @@ def euler_terminal_matrix(f, g, x0, dt, dw):
         x = x + f(x, t) * dt + g(x, t) * dw[:, k]
         out[:, k + 1] = x
     return out
+
+
+def path_noise(seed, n_paths: int, n_steps: int) -> np.ndarray:
+    """The (n_steps, n_paths) standard normals that the ensemble engine
+    draws for a run seeded ``seed``, taken in one call of ``PathNoise``."""
+    tiles, at = PathNoise(seed, n_paths).draw(np.arange(n_paths), n_steps)
+    return tiles[at + BLOCK * np.arange(n_steps)[:, None]]

@@ -210,6 +210,22 @@ def test_fpe_entropy_trace_monotone(tmp_path):
     assert trace[-1, 1] < trace[0, 1]
 
 
+def test_fpe_keeps_its_horizon(tmp_path):
+    # 16 cells on [-3, 3]: the default dt 0.9 x 0.05625 = 0.050625 does not
+    # divide 0.2, which used to end the march at 0.2025
+    cfg = _write_config(tmp_path, {
+        "model": _OU,
+        "fpe": {"interval": [-3.0, 3.0], "n_cells": 16, "horizon": 0.2,
+                "initial": {"kind": "gaussian", "center": 0.5, "width": 0.5},
+                "snapshot_every": 0.01},
+        "outputs": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["fpe", "--config", cfg]) == 0
+    t = _read_table(tmp_path / "out" / "entropy.csv")[:, 0]
+    assert t[-1] == 0.2
+    assert np.diff(t).max() <= 0.9 * 0.05625
+
+
 def test_experiment_langevin1_report(tmp_path, monkeypatch):
     monkeypatch.setenv("NOISECALC_THREADS", "2")
     cfg = _write_config(tmp_path, {

@@ -100,6 +100,22 @@ def test_non_positive_dt_rejected(dt):
         evolve_fpe(prob, dt, 1.0)
 
 
+@pytest.mark.parametrize("horizon, dt", [(0.2, 0.050625), (0.9, 0.03), (0.27, 0.027),
+                                         (0.5, 0.025)])
+def test_march_ends_at_the_horizon_in_steps_no_longer_than_dt(horizon, dt):
+    # 0.2 / 0.050625 is not a whole number; 0.9 / 0.03 rounds above 30 in
+    # floats; 0.27 / 0.027 rounds down onto 10, but 0.27 / 10 > 0.027, so
+    # the march takes 11 steps; 0.5 / 0.025 is 20 steps of exactly dt
+    init = GridDensity.uniform(-3.0, 3.0, 16)
+    prob = FpeProblem(f=NEG_X, g=ONE, interval=(-3.0, 3.0), initial=init, dgdx=ZERO)
+    assert dt <= prob.stability_bound()
+    res = evolve_fpe(prob, dt, horizon, snapshot_every=1e-9)  # a snapshot every step
+    n_steps = len(res.times) - 1
+    assert res.times[-1] == horizon
+    # times[1] is the step; one step fewer would need a step longer than dt
+    assert res.times[1] == horizon / n_steps <= dt < horizon / (n_steps - 1)
+
+
 def _minmod(a, b):
     out = np.where((a > 0) & (b > 0), np.minimum(a, b), 0.0)
     return np.where((a < 0) & (b < 0), np.maximum(a, b), out)
@@ -108,7 +124,8 @@ def _minmod(a, b):
 def _reference_evolve(problem, dt, horizon, snapshot_every):
     """The step loop that the buffered evolver replaced, with its own
     temporaries and concatenations; returns (final, times, snapshots,
-    mass_drift) as plain values."""
+    mass_drift) as plain values.  It takes the evolver's steps: ceil(horizon
+    / dt) of them, of length horizon / n, the last ending at horizon."""
     a, b = problem.interval
     n = problem.initial.n_cells
     dx = problem.initial.dx
@@ -119,7 +136,10 @@ def _reference_evolve(problem, dt, horizon, snapshot_every):
     w_plus = w_i > 0
 
     p = problem.initial.values.copy()
-    n_steps = round(horizon / dt)
+    n_steps = math.ceil(horizon / dt)
+    if horizon / n_steps > dt:
+        n_steps += 1
+    dt = horizon / n_steps
     snap_stride = max(1, round(snapshot_every / dt))
     times = [0.0]
     snaps = [GridDensity(a, b, p).values]
@@ -136,13 +156,12 @@ def _reference_evolve(problem, dt, horizon, snapshot_every):
         j_interior = adv - dif
         p = p - (dt / dx) * (np.concatenate([j_interior, [0.0]])
                              - np.concatenate([[0.0], j_interior]))
-        if (k + 1) % snap_stride == 0:
+        if (k + 1) % snap_stride == 0 and k + 1 < n_steps:
             times.append((k + 1) * dt)
             snaps.append(GridDensity(a, b, p).values)
     final = GridDensity(a, b, p).values
-    if times[-1] != n_steps * dt:
-        times.append(n_steps * dt)
-        snaps.append(final)
+    times.append(horizon)
+    snaps.append(final)
     return final, tuple(times), snaps, float(abs(p.sum() * dx - mass0))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ks_statistic
+from conftest import ks_statistic, path_noise
 from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, generate_brownian
 from noisecalc.sde import Interpretation, SdeModel, to_ito
 from noisecalc.solvers import (
@@ -129,7 +129,7 @@ def test_reflected_first_step_fold_arithmetic():
                  g=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
                  interpretation=Interpretation.ITO, x0=b)
     seed = SeedSpec(31, 1)
-    z = seed.generator().standard_normal(1)[0]
+    z = path_noise(seed, 1, 1)[0, 0]
     assert z > 0  # chosen stream; first draw is positive
     dt = 0.04
     cfg = McConfig(n_paths=1, dt=dt, horizon=dt, seed=seed, boundary=Reflect(-1.0, b))

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import euler_terminal_matrix
+from conftest import euler_terminal_matrix, path_noise
 from noisecalc.integrals import _euler_path_from_driver
 from noisecalc.paths import SeedSpec, TimeGrid, generate_brownian, generate_brownian_vector
 from noisecalc.physics import LangevinParams, langevin_velocity_pair
@@ -86,8 +86,7 @@ def test_engine_terminals_equal_plain_stepper(tag):
     cfg = McConfig(n_paths=n_paths, dt=dt, horizon=n_steps * dt, seed=SeedSpec(63, 4),
                    boundary=None, record="terminal")
     engine = simulate_ensemble(model, scheme, cfg).terminals
-    dw = np.vstack([math.sqrt(dt) * cfg.seed.shifted(i).generator().standard_normal(n_steps)
-                    for i in range(n_paths)])
+    dw = math.sqrt(dt) * path_noise(cfg.seed, n_paths, n_steps).T
     f, g, rule = _effective(model, scheme)
     assert np.array_equal(engine, _plain_terminal(f, g, rule, model.x0, cfg.times(), dw))
 
