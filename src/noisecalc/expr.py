@@ -296,32 +296,44 @@ def evaluate(e: Expr, x: float, t: float = 0.0) -> float:
     return _eval_node(e.root, float(x), float(t))
 
 
-def _numpy_node(node: Node, x, t):
+_UFUNC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _compile(node: Node) -> Callable:
+    """The tree as nested ``(x, t)`` closures, one per node."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda x, t: value
     if isinstance(node, Var):
-        return x if node.name == "x" else t
+        return (lambda x, t: x) if node.name == "x" else (lambda x, t: t)
     if isinstance(node, Neg):
-        return -_numpy_node(node.arg, x, t)
+        arg = _compile(node.arg)
+        return lambda x, t: -arg(x, t)
     if isinstance(node, Bin):
-        a = _numpy_node(node.left, x, t)
-        b = _numpy_node(node.right, x, t)
-        return {"+": np.add, "-": np.subtract, "*": np.multiply,
-                "/": np.divide, "^": np.power}[node.op](a, b)
-    return _NUMPY_FN[node.fn](_numpy_node(node.arg, x, t))
+        op, a, b = _UFUNC[node.op], _compile(node.left), _compile(node.right)
+        return lambda x, t: op(a(x, t), b(x, t))
+    fn, arg = _NUMPY_FN[node.fn], _compile(node.arg)
+    return lambda x, t: fn(arg(x, t))
 
 
 def vector_fn(e: Expr) -> Callable:
     """A numpy-vectorized ``(x, t) -> array`` view of the expression.
 
+    The tree is compiled into closures once, here, and not walked again per
+    call; each node calls the numpy ufunc of its operator on the same
+    operands, so values are those of a node-by-node evaluation bit for bit.
     Domain violations propagate as NaN/inf instead of raising; callers that
     need strict errors should use :func:`evaluate`.
     """
+    root = _compile(e.root)
+
+    @np.errstate(all="ignore")
     def fn(x, t=0.0):
-        with np.errstate(all="ignore"):
-            out = _numpy_node(e.root, np.asarray(x, dtype=float), t)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() \
-            if np.shape(out) != np.shape(x) else out
+        x = np.asarray(x, dtype=float)
+        out = root(x, t)
+        if np.shape(out) != x.shape:
+            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        return out
     return fn
 
 

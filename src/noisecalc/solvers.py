@@ -28,6 +28,13 @@ column of a 64-path block stream), so a path's draws are independent of how
 many other paths run, of the 512-step chunking and of when paths stop; a
 run seeded ``SeedSpec(m, i)`` equals path ``i`` of one seeded
 ``SeedSpec(m)``.
+
+Stepping contract of the engine, which keeps its outputs bit for bit those
+of a loop that gathers, projects and writes back every live path each step:
+a chunk's live paths are stepped as one full-width array, compacted only
+after a path stops; without a reflecting boundary an unbounded domain is
+not projected at all (nothing can be clamped or stopped); and event lists
+are built only when paths are recorded.
 """
 from __future__ import annotations
 
@@ -250,9 +257,10 @@ def _effective(model: SdeModel, scheme: SolverScheme):
 
 
 def _predict(f, g, x, t, dt, dw):
-    """Left-point drift and the Euler step ``x^ = x + f dt + g(x) dW``."""
-    drift = np.asarray(f(x, t), dtype=float)
-    return drift, x + drift * dt + np.asarray(g(x, t), dtype=float) * dw
+    """The drift part ``x + f dt`` and the Euler step ``x^ = x + f dt + g(x) dW``;
+    a corrector adds its own ``g dW`` to the same drift part."""
+    base = x + np.asarray(f(x, t), dtype=float) * dt
+    return base, base + np.asarray(g(x, t), dtype=float) * dw
 
 
 def _corrector_point(rule: EvaluationRule, x, pred, t_now, t_next, dt):
@@ -264,20 +272,20 @@ def _corrector_point(rule: EvaluationRule, x, pred, t_now, t_next, dt):
 
 
 def _fold_into(v: np.ndarray, lo: float, hi: float):
-    """Reflected positions and fold counts for values outside [lo, hi]."""
-    if math.isinf(hi) and math.isinf(lo):
-        return v, np.zeros(v.size, dtype=np.int64)
-    if math.isinf(hi):
-        folds = (v < lo).astype(np.int64)
-        return np.where(v < lo, 2 * lo - v, v), folds
-    if math.isinf(lo):
-        folds = (v > hi).astype(np.int64)
-        return np.where(v > hi, 2 * hi - v, v), folds
+    """Reflected positions, and the indices and fold counts of the values
+    outside [lo, hi].  On a half-line, ``v`` itself when none is outside."""
+    if math.isinf(lo) or math.isinf(hi):
+        out = v > hi if math.isinf(lo) else v < lo
+        hits = out.nonzero()[0]
+        if hits.size:
+            v = np.where(out, 2 * (hi if math.isinf(lo) else lo) - v, v)
+        return v, hits, 1
     length = hi - lo
     q = np.floor((v - lo) / length)
     r = (v - lo) - q * length
-    pos = np.where((q % 2) == 0, lo + r, hi - r)
-    return pos, np.abs(q).astype(np.int64)
+    folds = np.abs(q).astype(np.int64)
+    hits = folds.nonzero()[0]
+    return np.where((q % 2) == 0, lo + r, hi - r), hits, folds[hits]
 
 
 class _Raw:
@@ -322,8 +330,7 @@ def _run_engine(
     sqdt = np.sqrt(dts)
     x0 = float(model.x0)
     raw = _Raw(n_paths, x0, n_steps)
-    if record == "path":
-        raw.events = [[] for _ in range(n_paths)]
+    events = raw.events = [[] for _ in range(n_paths)] if record == "path" else None
 
     rec_lookup: dict[int, int] = {}
     if record == "path":
@@ -336,7 +343,7 @@ def _run_engine(
         rec_lookup = {s: r for r, s in enumerate(rec_steps) if s > 0}
 
     x = np.full(n_paths, x0)
-    running = np.ones(n_paths, dtype=bool)
+    ids = np.arange(n_paths)
 
     hit_down = True
     if hit_level is not None:
@@ -345,117 +352,105 @@ def _run_engine(
         if in_band:
             raw.hit_time[:] = times[0]
             raw.final_step[:] = 0
-            running[:] = False
+            ids = ids[:0]
 
     noise = PathNoise(seed, n_paths)
 
-    def _log(i: int, kind_: EventKind, t: float, v: float) -> None:
-        if raw.events is not None:
-            raw.events[i].append(Event(kind_, t, v))
-
-    def _project(values, ids, t_now):
-        """Boundary policy for a batch; returns safe values + fatal mask."""
-        fatal = np.zeros(values.size, dtype=bool)
+    def _project(values, t_now):
+        """Boundary policy for the live rows: safe values, and the rows to
+        stop (None when there are none)."""
         if isinstance(boundary, Reflect):
-            folded, folds = _fold_into(values, boundary.lo, boundary.hi)
-            hits = np.flatnonzero(folds > 0)
+            folded, hits, folds = _fold_into(values, boundary.lo, boundary.hi)
             if hits.size:
-                raw.reflections[ids[hits]] += folds[hits]
-                for j in hits:
-                    _log(ids[j], EventKind.REFLECTION, t_now, float(folded[j]))
-            return np.clip(folded, lo, hi), fatal
-        beyond = (values < lo - _DOMAIN_TOL) | (values > hi + _DOMAIN_TOL)
-        bad = np.flatnonzero(beyond)
+                raw.reflections[ids[hits]] += folds
+                if events is not None:
+                    for j in hits:
+                        events[ids[j]].append(Event(EventKind.REFLECTION, t_now, float(folded[j])))
+            return folded.clip(lo, hi), None
+        below = values < lo - _DOMAIN_TOL  # on a half-line, the only test
+        bad = (below if math.isinf(hi) else below | (values > hi + _DOMAIN_TOL)).nonzero()[0]
         if bad.size:
             raw.violations[ids[bad]] += 1
-            for j in bad:
-                _log(ids[j], EventKind.DOMAIN_VIOLATION, t_now, float(values[j]))
-            if boundary == STOP_ON_VIOLATION:
-                fatal = beyond
-        return np.clip(values, lo, hi), fatal
+            if events is not None:
+                for j in bad:
+                    events[ids[j]].append(
+                        Event(EventKind.DOMAIN_VIOLATION, t_now, float(values[j])))
+        stop = bad if bad.size and boundary == STOP_ON_VIOLATION else None
+        return values.clip(lo, hi), stop
+
+    # without reflection an unbounded domain has nothing to clamp or stop
+    free = not isinstance(boundary, Reflect) and math.isinf(lo) and math.isinf(hi)
+
+    def _stop(rows, final, value, crossed):
+        """End the live ``rows`` on a fatal value: ``value`` becomes their
+        state and terminal, ``final`` their last step."""
+        dead = ids[rows]
+        x[dead] = value
+        raw.moved[dead] = mv[rows] | (value != x0)
+        raw.completed[dead] = False
+        raw.final_step[dead] = final
+        raw.terminal[dead] = value
+        if hit_level is not None:
+            _mark_crossing_hits(raw, dead, crossed, t_next, hit_level, hit_band, hit_down)
+        keep = np.ones(ids.size, dtype=bool)
+        keep[rows] = False
+        return keep
 
     step = 0
-    while step < n_steps:
-        act_idx = np.flatnonzero(running)
-        if act_idx.size == 0:
-            break
+    while step < n_steps and ids.size:
         width = min(_CHUNK, n_steps - step)
-        tiles, at = noise.draw(act_idx, width)
-        alive = np.ones(act_idx.size, dtype=bool)
+        tiles, at = noise.draw(ids, width)
+        # the chunk's live rows: path ids, states, moved flags and noise
+        # offsets, gathered again only when a path stops
+        xa, mv = x[ids], raw.moved[ids]
 
         for c in range(width):
-            rows = np.flatnonzero(alive)
-            if rows.size == 0:
-                break
             k = step + c
             t_now, t_next, dt = times[k], times[k + 1], dts[k]
-            ids = act_idx[rows]
-            dw = sqdt[k] * tiles[at[rows] + c * BLOCK]
-            xa = x[ids]
-            drift, prop = _predict(f, g, xa, t_now, dt, dw)
+            dw = sqdt[k] * tiles[at + c * BLOCK]
+            base, prop = _predict(f, g, xa, t_now, dt, dw)
 
             if rule is not EvaluationRule.LEFT:
                 point, t_eval = _corrector_point(rule, xa, prop, t_now, t_next, dt)
-                point_safe, fatal = _project(point, ids, t_next)
-                if fatal.any():
-                    sel = np.flatnonzero(fatal)
-                    dead = ids[sel]
-                    raw.completed[dead] = False
-                    raw.final_step[dead] = k
-                    raw.terminal[dead] = x[dead]
-                    if hit_level is not None:
-                        _mark_crossing_hits(raw, dead, point[sel], t_next,
-                                            hit_level, hit_band, hit_down)
-                    alive[rows[sel]] = False
-                    keep = ~fatal
-                    rows, ids = rows[keep], ids[keep]
-                    xa, drift, dw = xa[keep], drift[keep], dw[keep]
-                    point_safe = point_safe[keep]
+                point_safe, stop = (point, None) if free else _project(point, t_next)
+                if stop is not None:
+                    keep = _stop(stop, k, xa[stop], point[stop])
+                    ids, xa, mv, at, base, dw, point_safe = (
+                        a[keep] for a in (ids, xa, mv, at, base, dw, point_safe))
                     if ids.size == 0:
-                        continue
-                g_eval = np.asarray(g(point_safe, t_eval), dtype=float)
-                prop = xa + drift * dt + g_eval * dw
+                        break
+                prop = base + np.asarray(g(point_safe, t_eval), dtype=float) * dw
 
-            prop_safe, fatal = _project(prop, ids, t_next)
-            if fatal.any():
-                sel = np.flatnonzero(fatal)
-                dead = ids[sel]
-                # the offending value is stored, then the path terminates
-                x[dead] = prop[sel]
-                raw.completed[dead] = False
-                raw.final_step[dead] = k + 1
-                raw.terminal[dead] = prop[sel]
-                raw.moved[dead] |= prop[sel] != x0
-                if hit_level is not None:
-                    _mark_crossing_hits(raw, dead, prop[sel], t_next,
-                                        hit_level, hit_band, hit_down)
-                alive[rows[sel]] = False
-                keep = ~fatal
-                rows, ids = rows[keep], ids[keep]
-                prop_safe = prop_safe[keep]
+            xa, stop = (prop, None) if free else _project(prop, t_next)
+            if stop is not None:
+                keep = _stop(stop, k + 1, prop[stop], prop[stop])
+                ids, xa, mv, at = (a[keep] for a in (ids, xa, mv, at))
+            mv |= xa != x0
 
-            if ids.size:
-                x[ids] = prop_safe
-                raw.moved[ids] |= prop_safe != x0
-
-                if hit_level is not None:
-                    fresh = np.isnan(raw.hit_time[ids])
-                    entered = (prop_safe <= hit_level + hit_band) if hit_down \
-                        else (prop_safe >= hit_level - hit_band)
-                    new = np.flatnonzero(fresh & entered)
-                    if new.size:
-                        just_hit = ids[new]
-                        raw.hit_time[just_hit] = t_next
-                        for j, i in enumerate(just_hit):
-                            _log(i, EventKind.HIT_LEVEL, t_next, float(prop_safe[new][j]))
-                        raw.terminal[just_hit] = prop_safe[new]
-                        raw.final_step[just_hit] = k + 1
-                        alive[rows[new]] = False
+            if hit_level is not None:  # a live path has not hit yet
+                entered = (xa <= hit_level + hit_band) if hit_down \
+                    else (xa >= hit_level - hit_band)
+                new = entered.nonzero()[0]
+                if new.size:
+                    just_hit = ids[new]
+                    raw.hit_time[just_hit] = t_next
+                    if events is not None:
+                        for i, v in zip(just_hit, xa[new]):
+                            events[i].append(Event(EventKind.HIT_LEVEL, t_next, float(v)))
+                    x[just_hit] = raw.terminal[just_hit] = xa[new]
+                    raw.moved[just_hit] = mv[new]
+                    raw.final_step[just_hit] = k + 1
+                    keep = ~entered
+                    ids, xa, mv, at = (a[keep] for a in (ids, xa, mv, at))
 
             if raw.recorded is not None and (k + 1) in rec_lookup:
+                x[ids] = xa
                 raw.recorded[rec_lookup[k + 1]] = x
+            if ids.size == 0:
+                break
 
-        running[act_idx] = alive
+        x[ids] = xa
+        raw.moved[ids] = mv
         step += width
         del tiles  # frees this chunk's noise before the next chunk draws
 
@@ -775,10 +770,10 @@ def _plain_terminal(f, g, rule, x0, times, dw, out=None):
     dts = np.diff(times)
     for k, dw_k in enumerate(dw.T):  # one row of the transpose per step
         t_now, dt = times[k], dts[k]
-        drift, x_next = _predict(f, g, x, t_now, dt, dw_k)
+        base, x_next = _predict(f, g, x, t_now, dt, dw_k)
         if rule is not EvaluationRule.LEFT:
             point, t_eval = _corrector_point(rule, x, x_next, t_now, times[k + 1], dt)
-            x_next = x + drift * dt + np.asarray(g(point, t_eval), dtype=float) * dw_k
+            x_next = base + np.asarray(g(point, t_eval), dtype=float) * dw_k
         x = x_next
         if out is not None:
             out[:, k + 1] = x

@@ -226,8 +226,7 @@ def test_fpe_keeps_its_horizon(tmp_path):
     assert np.diff(t).max() <= 0.9 * 0.05625
 
 
-def test_experiment_langevin1_report(tmp_path, monkeypatch):
-    monkeypatch.setenv("NOISECALC_THREADS", "2")
+def test_experiment_langevin1_report(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": {"n_seeds": 100, "dt": 1e-3,
                        "hitting": {"n_paths": 100, "dt": 1e-3, "horizon": 3.0}},
