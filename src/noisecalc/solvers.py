@@ -338,7 +338,8 @@ def _run_engine(
         if rec_steps[-1] != n_steps:
             rec_steps.append(n_steps)
         raw.recorded_steps = np.asarray(rec_steps, dtype=np.int64)
-        raw.recorded = np.empty((len(rec_steps), n_paths))
+        # NaN marks the rows after every path's final step, which no step writes
+        raw.recorded = np.full((len(rec_steps), n_paths), np.nan)
         raw.recorded[0] = x0
         rec_lookup = {s: r for r, s in enumerate(rec_steps) if s > 0}
 

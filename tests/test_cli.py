@@ -226,6 +226,21 @@ def test_fpe_keeps_its_horizon(tmp_path):
     assert np.diff(t).max() <= 0.9 * 0.05625
 
 
+def test_fpe_runs_a_stiff_potential(tmp_path):
+    # g = 0.1: the potential spans ~890 on [-3, 3]; the explicit march at
+    # the diffusive bound alone blew up here and exited 2
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {"f": "-x", "g": "0.1", "interpretation": "ito",
+                             "domain": [None, None], "x0": 1.0}},
+        "fpe": {"interval": [-3.0, 3.0], "n_cells": 64, "horizon": 1.0},
+        "outputs": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["fpe", "--config", cfg]) == 0
+    density = _read_table(tmp_path / "out" / "density.csv")[:, 1]
+    assert density.min() >= 0.0
+    assert abs(density.sum() * 6.0 / 64 - 1.0) < 1e-9
+
+
 def test_experiment_langevin1_report(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": {"n_seeds": 100, "dt": 1e-3,
@@ -349,6 +364,12 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.1,
                                                  "snapshot_every": 0}},
                  id="fpe-zero-snapshot-interval"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.1,
+                                                 "dt": 0.01}},
+                 id="fpe-dt-is-an-unknown-key"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 1.0,
+                                                 "snapshot_every": 1e-6}},
+                 id="fpe-too-many-snapshots"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"dt": "abc"}},
                  id="experiment-dt-string"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"hitting": [1]}},

@@ -13,15 +13,20 @@ from noisecalc.fokker_planck import (
     evolve_fpe,
     nonequilibrium_potential,
     probability_flux,
+    propagate_fpe,
     relative_entropy,
     stationary_density,
 )
+from noisecalc.fokker_planck import _sqra_generator
 
 ONE = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
 ZERO = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
 SQRT2 = lambda x, t: np.full_like(np.asarray(x, dtype=float), math.sqrt(2.0))
 NEG_X = lambda x, t: -np.asarray(x, dtype=float)
 DOUBLE_WELL = lambda x, t: np.asarray(x, dtype=float) - np.asarray(x, dtype=float) ** 3
+WELL_G = lambda x, t: 0.5 + 0.1 * np.asarray(x, dtype=float) ** 2
+WELL_DG = lambda x, t: 0.2 * np.asarray(x, dtype=float)
+TENTH = lambda x, t: np.full_like(np.asarray(x, dtype=float), 0.1)
 
 
 def test_zero_drift_unit_diffusion_is_uniform():
@@ -374,3 +379,123 @@ def test_fpe_problem_checks_initial_interval():
     init = GridDensity.uniform(0.0, 1.0, 8)
     with pytest.raises(ValueError):
         FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init)
+
+
+# --- the SQRA propagator -----------------------------------------------------
+
+
+def _problem(case, n=256, start=0.3):
+    """OU (``f = -x``, ``g = 1``), the HK double well (``f = x - x^3``,
+    ``g = 0.5 + 0.1 x^2``), or the stiff OU (``g = 0.1``: potential range
+    893 on [-3, 3]), started from a Gaussian of width 0.5."""
+    f, g, dg, interval = {
+        "ou": (NEG_X, ONE, ZERO, (-3.0, 3.0)),
+        "hk-double-well": (DOUBLE_WELL, WELL_G, WELL_DG, (-2.0, 2.0)),
+        "stiff-ou": (NEG_X, TENTH, ZERO, (-3.0, 3.0)),
+    }[case]
+    init = GridDensity.from_function(
+        lambda x: np.exp(-0.5 * ((x - start) / 0.5) ** 2), *interval, n)
+    return FpeProblem(f=f, g=g, interval=interval, initial=init, dgdx=dg)
+
+
+@pytest.mark.parametrize("case", ["ou", "hk-double-well"])
+def test_propagator_agrees_with_explicit_march(case):
+    prob = _problem(case)
+    res = propagate_fpe(prob, 5.0, 0.5)
+    at = dict(zip(res.times, res.snapshots))
+    dt = 0.9 * prob.stability_bound()
+    for t in (0.5, 1.0, 5.0):
+        march = evolve_fpe(prob, dt, t, snapshot_every=None).final
+        assert at[t].l1_distance(march) < 1e-3, t
+
+
+@pytest.mark.parametrize("case", ["ou", "hk-double-well"])
+def test_generator_null_vector_is_the_stationary_density(case):
+    prob = _problem(case, n=128)
+    gen = _sqra_generator(prob)
+    target = stationary_density(prob.f, prob.g, prob.interval, 128)
+    rates = np.abs(gen).max()
+    assert np.max(np.abs(gen.sum(axis=0))) <= 1e-12 * rates
+    assert np.max(np.abs(gen @ target.values)) <= 1e-12 * rates * target.values.max()
+
+
+@pytest.mark.parametrize("case", ["ou", "hk-double-well"])
+def test_propagator_reaches_the_stationary_density(case):
+    prob = _problem(case, n=128)
+    lam = np.sort(-np.linalg.eigvals(_sqra_generator(prob)).real)
+    horizon = 40.0 / lam[1]  # 40 relaxation times of the slowest mode
+    res = propagate_fpe(prob, horizon, horizon / 4)
+    target = stationary_density(prob.f, prob.g, prob.interval, 128)
+    assert np.max(np.abs(res.final.values / target.values - 1.0)) < 1e-9
+
+
+def test_propagator_stays_nonnegative_on_a_stiff_potential():
+    prob = _problem("stiff-ou", start=1.0)
+    v = nonequilibrium_potential(prob.f, prob.g, -3.0, 3.0, prob.initial.centers)
+    assert np.ptp(v) > 700  # exp(V) spans more than the double range
+    res = propagate_fpe(prob, 5.0, 0.1)
+    for snap in res.snapshots:
+        assert np.all(np.isfinite(snap.values))
+        assert snap.values.min() >= 0.0
+        assert not snap.clipped
+    assert res.mass_drift < 1e-9
+
+
+@pytest.mark.parametrize("case", ["ou", "hk-double-well"])
+def test_propagator_entropy_trace_is_monotone(case):
+    prob = _problem(case, start=1.0)
+    res = propagate_fpe(prob, 3.0, 0.05)
+    target = stationary_density(prob.f, prob.g, prob.interval, 256)
+    h = np.array([relative_entropy(s, target) for s in res.snapshots])
+    assert np.all(np.diff(h) <= 0.0)
+    assert h[-1] < h[0]
+
+
+@pytest.mark.parametrize("horizon, every, m", [(0.2, 0.050625, 4), (0.9, 0.03, 31),
+                                               (0.27, 0.027, 11), (0.5, 0.025, 20),
+                                               (1.0, 5.0, 1)])
+def test_propagator_snapshot_grid_ends_at_the_horizon(horizon, every, m):
+    # the snapshot count follows evolve_fpe's step rule: 0.9 / 0.03 rounds
+    # above 30 in floats; 0.27 / 0.027 rounds down onto 10, one too few
+    prob = _problem("ou", n=16)
+    res = propagate_fpe(prob, horizon, every)
+    assert len(res.times) == m + 1 == len(res.snapshots)
+    assert res.times[-1] == horizon
+    assert res.snapshots[-1] is res.final
+    assert res.times[1] == horizon / m <= every
+
+
+@pytest.mark.parametrize("horizon, every, what", [
+    (1.0, 0.99e-5, "101011"), (1.0, 1e-320, "inf"), (1.0, 0.0, "positive"),
+    (1.0, math.nan, "positive"), (0.0, 0.1, "horizon"), (math.inf, 0.1, "horizon"),
+])
+def test_propagator_rejects_bad_snapshot_grids(horizon, every, what):
+    prob = _problem("ou", n=16)
+    with pytest.raises(ValueError, match=what):
+        propagate_fpe(prob, horizon, every)
+
+
+def test_propagator_rejects_overflowing_rates():
+    # g = 0.01 on 16 cells: V changes by ~2e4 between the edge cells
+    init = GridDensity.uniform(-3.0, 3.0, 16)
+    g = lambda x, t: np.full_like(np.asarray(x, dtype=float), 0.01)
+    prob = FpeProblem(f=NEG_X, g=g, interval=(-3.0, 3.0), initial=init, dgdx=ZERO)
+    with pytest.raises(ValueError, match="overflow"):
+        propagate_fpe(prob, 1.0, 0.1)
+
+
+def test_propagator_allows_the_largest_snapshot_count():
+    res = propagate_fpe(_problem("ou", n=4), 1.0, 1e-5)
+    assert len(res.times) == 100_001
+
+
+def test_advective_limit_keeps_the_stiff_march_nonnegative():
+    prob = _problem("stiff-ou", start=1.0)
+    dx = prob.initial.dx
+    assert prob.stability_bound() == pytest.approx(0.5 * dx / 3.0, rel=1e-9)
+    assert prob.stability_bound() < 0.4 * dx**2 / 0.01  # advection binds
+    res = evolve_fpe(prob, 0.9 * prob.stability_bound(), 2.0, snapshot_every=0.1)
+    for snap in res.snapshots:
+        assert snap.values.min() >= 0.0
+        assert not snap.clipped
+    assert res.mass_drift < 1e-12

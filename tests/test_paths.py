@@ -179,3 +179,46 @@ def test_vector_path_component_view():
     g = TimeGrid.uniform(0.0, 1.0, 4)
     vp = VectorPath(g, np.arange(10, dtype=float).reshape(5, 2))
     assert np.array_equal(vp.component(1).values, [1.0, 3.0, 5.0, 7.0, 9.0])
+
+
+def _reference_bridge_points(t, w, factor, seed):
+    """The bridge loop that the buffered refinement replaced, with its own
+    temporaries and copies."""
+    n = t.size - 1
+    sub = np.diff(t) / factor
+    new_t = np.empty(n * factor + 1)
+    new_w = np.empty(n * factor + 1)
+    new_t[::factor] = t
+    new_w[::factor] = w
+
+    rng = seed.generator()
+    t_right = t[1:]
+    w_right = w[1:]
+    x = w[:-1].copy()
+    tau = t[:-1].copy()
+    for k in range(1, factor):
+        tau_next = t[:-1] + k * sub
+        remaining = t_right - tau
+        mean = x + (w_right - x) * (tau_next - tau) / remaining
+        var = (tau_next - tau) * (t_right - tau_next) / remaining
+        x = mean + np.sqrt(var) * rng.standard_normal(n)
+        new_t[k::factor] = tau_next
+        new_w[k::factor] = x
+        tau = tau_next
+    return new_t, new_w
+
+
+@pytest.mark.parametrize("factor", [2, 3, 5])
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+def test_bridge_equals_reference_loop_bitwise(grid, factor):
+    if grid == "uniform":
+        g = TimeGrid.uniform(0.0, 1.0, 1000)
+    else:
+        steps = np.random.default_rng(5).uniform(1e-4, 1e-2, 1000)
+        g = TimeGrid(np.concatenate([[0.3], 0.3 + np.cumsum(steps)]))
+    w = generate_brownian(g, SeedSpec(21))
+    seed = SeedSpec(21, 7)
+    r = refine_bridge(w, factor, seed)
+    ref_t, ref_w = _reference_bridge_points(g.points, w.values, factor, seed)
+    assert np.array_equal(r.grid.points, ref_t)
+    assert np.array_equal(r.values, ref_w)

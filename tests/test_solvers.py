@@ -26,6 +26,7 @@ from noisecalc.solvers import (
     strong_convergence_order,
     _ou_coefficients,
     _plain_terminal,
+    _run_engine,
 )
 from noisecalc.physics import LangevinParams, kinetic_models
 
@@ -344,6 +345,24 @@ def test_stop_on_violation_truncates_with_final_event():
     assert res.terminated_early
     assert res.events[-1].kind is EventKind.DOMAIN_VIOLATION
     assert len(res.path.values) < 101
+
+
+def test_recorded_rows_after_every_final_step_are_nan():
+    # the HK kinetic member at rest steps outward at once, so every path
+    # stops on its first step and no later row is ever written
+    hk = kinetic_models(LangevinParams(v0=0.0)).hk
+    times = np.linspace(0.0, 0.1, 11)
+    runs = [_run_engine(hk, SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR, times, 8,
+                        SeedSpec(31), STOP_ON_VIOLATION, record="path")
+            for _ in range(2)]
+    raw = runs[0]
+    last = int(raw.final_step.max())
+    assert not raw.completed.any() and last < times.size - 1
+    after = raw.recorded_steps > last
+    assert after.any()
+    assert np.isnan(raw.recorded[after]).all()
+    assert not np.isnan(raw.recorded[~after]).any()
+    assert np.array_equal(raw.recorded, runs[1].recorded, equal_nan=True)
 
 
 def test_mcconfig_validation():
