@@ -35,6 +35,8 @@ from typing import Callable, TextIO
 
 import numpy as np
 
+from .sde import finite_diff_gprime
+
 __all__ = [
     "GridDensity",
     "FpeProblem",
@@ -70,7 +72,7 @@ class GridDensity:
     a: float
     b: float
     values: np.ndarray
-    clipped: bool = False
+    clipped: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         if not self.a < self.b:
@@ -78,7 +80,9 @@ class GridDensity:
         vals = np.array(self.values, dtype=float)  # a copy: the caller's array stays writeable
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("need at least 2 cells")
-        clipped = self.clipped
+        if not np.isfinite(vals).all():
+            raise ValueError("density values must be finite")
+        clipped = False
         if vals.min() < 0:
             if vals.min() < _NEG_TOL:
                 raise ValueError(f"negative cell average {vals.min()} beyond tolerance")
@@ -200,8 +204,9 @@ class FpeProblem:
     """Time-homogeneous forward problem on [a, b] with reflecting borders.
 
     ``dgdx`` is the optional analytic derivative of ``g``; without it the
-    advection velocity uses central differences.  Construction checks (by
-    sampling) that ``g`` stays above a positive floor, which is recorded.
+    advection velocity uses :func:`~noisecalc.sde.finite_diff_gprime` on
+    the interval.  Construction checks (by sampling) that ``g`` stays above
+    a positive floor, which is recorded.
     """
 
     f: Callable
@@ -234,21 +239,10 @@ class FpeProblem:
 
     def velocity(self, xs: np.ndarray) -> np.ndarray:
         """Advection field ``f + g g'`` of the conservation form."""
-        gv, gp = _g_and_slope(self.g, self.dgdx, xs,
-                              abs(self.interval[1] - self.interval[0]))
-        return np.asarray(self.f(xs, 0.0), dtype=float) + gv * gp
-
-
-def _g_and_slope(g: Callable, dgdx: Callable | None, xs: np.ndarray,
-                 width: float) -> tuple[np.ndarray, np.ndarray]:
-    """``g`` and ``g'`` at ``xs``; without ``dgdx``, ``g'`` is a central
-    difference with step ``1e-6 * max(1, width)``."""
-    gv = np.asarray(g(xs, 0.0), dtype=float)
-    if dgdx is not None:
-        return gv, np.asarray(dgdx(xs, 0.0), dtype=float)
-    h = 1e-6 * max(1.0, width)
-    return gv, (np.asarray(g(xs + h, 0.0), dtype=float)
-                - np.asarray(g(xs - h, 0.0), dtype=float)) / (2 * h)
+        gp = (finite_diff_gprime(self.g, xs, 0.0, domain=self.interval).value
+              if self.dgdx is None else np.asarray(self.dgdx(xs, 0.0), dtype=float))
+        return (np.asarray(self.f(xs, 0.0), dtype=float)
+                + np.asarray(self.g(xs, 0.0), dtype=float) * gp)
 
 
 @dataclass(frozen=True)
@@ -482,12 +476,15 @@ def probability_flux(p: GridDensity, f: Callable, g: Callable,
                      dgdx: Callable | None = None) -> np.ndarray:
     """Pointwise flux ``(f + g g') p - d(g^2 p)/dx / 2`` at cell centers.
 
-    The derivative is a centered difference in the interior and a
+    ``g'`` is ``dgdx`` or else finite differences on [a, b]; the derivative
+    of ``g^2 p`` is a centered difference in the interior and a
     third-order one-sided stencil at the two edge cells.
     """
     xs = p.centers
     dx = p.dx
-    gv, gp = _g_and_slope(g, dgdx, xs, p.b - p.a)
+    gv = np.asarray(g(xs, 0.0), dtype=float)
+    gp = (finite_diff_gprime(g, xs, 0.0, domain=(p.a, p.b)).value
+          if dgdx is None else np.asarray(dgdx(xs, 0.0), dtype=float))
     q = gv**2 * p.values
     dq = np.empty_like(q)
     dq[1:-1] = (q[2:] - q[:-2]) / (2 * dx)

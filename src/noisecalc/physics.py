@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .paths import SamplePath, SeedSpec, TimeGrid, _check_same_grid, generate_brownian_vector
-from .sde import Interpretation, SdeModel
+from .sde import Interpretation, SdeModel, finite_diff_gprime
 from .solvers import (
     HittingStats,
     McConfig,
@@ -102,14 +102,11 @@ class RelativisticParams:
         return math.hypot(self.M, self.p0)
 
     def d_prime(self, e):
+        """``d_hat'``: the analytic one, else finite differences on (M, inf)."""
         if self.d_hat_prime is not None:
             return self.d_hat_prime(e)
-        # one-sided stencil where the two-sided one would dip below M
-        e = np.asarray(e, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(e))
-        lo = np.maximum(e - h, self.M)
-        return (np.asarray(self.d_hat(e + h), dtype=float)
-                - np.asarray(self.d_hat(lo), dtype=float)) / (e + h - lo)
+        return finite_diff_gprime(lambda x, t: self.d_hat(x), e, 0.0,
+                                  domain=(self.M, math.inf)).value
 
 
 @dataclass(frozen=True)

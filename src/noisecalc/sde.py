@@ -7,6 +7,12 @@ Stratonovich, 1 for Hanggi-Klimontovich) and leaves the diffusion untouched.
 Solving always routes through the Ito form or a direct evaluation-rule
 scheme; see :mod:`noisecalc.solvers`.
 
+Without an analytic ``dg/dx``, :func:`finite_diff_gprime` is the one
+finite-difference rule of the package: step ``h = max(1e-6, 1e-6 |x|)`` per
+point, a central stencil wherever ``x +- h`` stays in the closed domain, a
+one-sided one where it would leave it, and a ``one_sided`` flag on those
+points.  Models, the forward equation and the relativistic family all use it.
+
 Lipschitz / linear-growth hypotheses are not runtime-verified (the kinetic
 case studies deliberately violate them at the boundary); models carry a
 free-text ``assumptions`` note instead.
@@ -97,39 +103,44 @@ _RULE_OF = {
 
 
 class GPrime(NamedTuple):
-    """A derivative estimate plus a reduced-accuracy flag."""
+    """A derivative estimate plus a reduced-accuracy flag, pointwise."""
 
-    value: float
-    one_sided: bool
+    value: float | np.ndarray
+    one_sided: bool | np.ndarray
 
 
 def finite_diff_gprime(
     g: CoefficientFn,
-    x: float,
+    x: float | np.ndarray,
     t: float,
     h: float | None = None,
     domain: tuple[float, float] = (-math.inf, math.inf),
 ) -> GPrime:
     """Central difference of ``g`` in ``x``; one-sided near a domain edge.
 
-    Default step ``h = max(1e-6, 1e-6 * |x|)``.  When the two-sided stencil
-    exits the closed domain the difference falls back to a one-sided one and
-    the result is flagged as reduced accuracy.
+    The rule of the module docstring, with ``g`` evaluated twice on all
+    points: floats for a scalar ``x``, arrays for an array.  A point outside
+    the domain, or one where neither side fits, raises.
     """
+    xs = np.asarray(x, dtype=float)
     if h is None:
-        h = max(1e-6, 1e-6 * abs(x))
+        h = np.maximum(1e-6, 1e-6 * np.abs(xs))
     lo, hi = domain
-    if x < lo or x > hi:
-        raise ValueError(f"x={x} outside domain [{lo}, {hi}]")
-    left_ok = x - h >= lo
-    right_ok = x + h <= hi
-    if left_ok and right_ok:
-        return GPrime((float(g(x + h, t)) - float(g(x - h, t))) / (2 * h), False)
-    if right_ok:
-        return GPrime((float(g(x + h, t)) - float(g(x, t))) / h, True)
-    if left_ok:
-        return GPrime((float(g(x, t)) - float(g(x - h, t))) / h, True)
-    raise ValueError(f"domain [{lo}, {hi}] too narrow for stencil width {h} at x={x}")
+    outside = (xs < lo) | (xs > hi)
+    if outside.any():
+        raise ValueError(f"x={xs[outside].flat[0]} outside domain [{lo}, {hi}]")
+    left_ok = xs - h >= lo
+    right_ok = xs + h <= hi
+    stuck = ~(left_ok | right_ok)
+    if stuck.any():
+        raise ValueError(f"domain [{lo}, {hi}] too narrow for the stencil at x={xs[stuck].flat[0]}")
+    central = left_ok & right_ok
+    value = ((np.asarray(g(np.where(right_ok, xs + h, xs), t), dtype=float)
+              - np.asarray(g(np.where(left_ok, xs - h, xs), t), dtype=float))
+             / np.where(central, 2 * h, h))
+    if xs.ndim == 0:
+        return GPrime(float(value), not central)
+    return GPrime(value, ~central)
 
 
 @dataclass(frozen=True)
@@ -139,9 +150,9 @@ class SdeModel:
     ``f`` and ``g`` are functions of ``(x, t)`` and should accept numpy
     arrays in ``x`` (the solvers evaluate them vectorized).  ``dgdx`` is the
     optional analytic spatial derivative of ``g``; when absent, conversions
-    fall back to central finite differences.  The domain is an open
-    interval; ``x0`` may sit on its closure so rest-start experiments are
-    representable.
+    fall back to :func:`finite_diff_gprime` on the model's domain.  The
+    domain is an open interval; ``x0`` may sit on its closure so rest-start
+    experiments are representable.
     """
 
     f: CoefficientFn
@@ -164,22 +175,14 @@ class SdeModel:
         """Spatial derivative of the diffusion coefficient at ``(x, t)``."""
         if self.dgdx is not None:
             return self.dgdx(x, t)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array(
-            [finite_diff_gprime(self.g, float(v), t, domain=self.domain).value for v in xs]
-        )
-        return out if np.ndim(x) else float(out[0])
+        return finite_diff_gprime(self.g, x, t, domain=self.domain).value
 
 
 def _with_offset(model: SdeModel, offset: float) -> CoefficientFn:
-    f, g = model.f, model.g
-    gp = model.dgdx
-    if gp is not None:
-        def drift(x, t):
-            return f(x, t) + offset * gp(x, t) * g(x, t)
-    else:
-        def drift(x, t):
-            return f(x, t) + offset * model.gprime(x, t) * g(x, t)
+    f, g, gprime = model.f, model.g, model.gprime
+
+    def drift(x, t):
+        return f(x, t) + offset * gprime(x, t) * g(x, t)
     return drift
 
 

@@ -289,6 +289,8 @@ def test_domain_violations_are_data_in_experiment_mode(tmp_path):
     {"reflect": [1.0, 0.0]},
     {"reflect": ["floor", None]},
     {"reflect": [None, 1.0]},
+    {"reflect": [True, None]},
+    {"reflect": ["0", None]},
 ])
 def test_malformed_reflect_config_exits_2(tmp_path, capsys, boundary):
     cfg = _write_config(tmp_path, {
@@ -370,6 +372,10 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 1.0,
                                                  "snapshot_every": 1e-6}},
                  id="fpe-too-many-snapshots"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {
+        "n_cells": 16, "horizon": 0.1,
+        "initial": {"kind": "gaussian", "center": 0.1875, "width": 0}}},
+                 id="fpe-gaussian-zero-width-on-a-cell-center"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"dt": "abc"}},
                  id="experiment-dt-string"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"hitting": [1]}},

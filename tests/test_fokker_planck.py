@@ -499,3 +499,31 @@ def test_advective_limit_keeps_the_stiff_march_nonnegative():
         assert snap.values.min() >= 0.0
         assert not snap.clipped
     assert res.mass_drift < 1e-12
+
+
+def test_velocity_and_flux_without_dgdx_match_the_analytic_derivative():
+    init = GridDensity.from_function(lambda x: np.exp(-(x - 0.3) ** 2), -2.0, 2.0, 64)
+    exact = FpeProblem(f=DOUBLE_WELL, g=WELL_G, interval=(-2.0, 2.0), initial=init,
+                       dgdx=WELL_DG)
+    fd = FpeProblem(f=DOUBLE_WELL, g=WELL_G, interval=(-2.0, 2.0), initial=init)
+    inner = np.linspace(-2.0, 2.0, 401)[1:-1]
+    assert np.max(np.abs(fd.velocity(inner) - exact.velocity(inner))) < 1e-8
+    # the interval's edges take one-sided stencils instead of leaving it
+    edges = np.array([-2.0, 2.0])
+    assert np.max(np.abs(fd.velocity(edges) - exact.velocity(edges))) < 1e-6
+    assert fd.stability_bound() == pytest.approx(exact.stability_bound(), rel=1e-6)
+    j_fd = probability_flux(init, DOUBLE_WELL, WELL_G)
+    j_exact = probability_flux(init, DOUBLE_WELL, WELL_G, dgdx=WELL_DG)
+    assert np.max(np.abs(j_fd - j_exact)) < 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_density_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GridDensity(0.0, 1.0, np.array([1.0, bad, 1.0, 1.0]))
+
+
+def test_grid_density_clipped_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        GridDensity(0.0, 1.0, np.ones(4), clipped=True)
+    assert not GridDensity(0.0, 1.0, np.ones(4)).clipped

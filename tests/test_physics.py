@@ -212,3 +212,17 @@ def test_langevin_params_validated():
         two_particle_models(LangevinParams(v0=1.0))  # missing u0
     with pytest.raises(ValueError):
         RelativisticParams(M=-1.0)
+
+
+def test_relativistic_finite_difference_d_prime_matches_analytic():
+    d_hat = lambda e: 1.0 + 0.25 * np.asarray(e, dtype=float) ** 2
+    d_hat_prime = lambda e: 0.5 * np.asarray(e, dtype=float)
+    exact = relativistic_models(RelativisticParams(M=1.0, d_hat=d_hat, d_hat_prime=d_hat_prime))
+    fd = relativistic_models(RelativisticParams(M=1.0, d_hat=d_hat))
+    # M itself and M + 5e-7 (inside the step h = 1e-6) take one-sided stencils
+    es = np.array([1.0, 1.0 + 5e-7, 1.0 + 1e-4, 1.5, 3.0, 10.0, 250.0])
+    for a, b in zip(exact.members(), fd.members()):
+        assert np.max(np.abs(a.f(es, 0.0) - b.f(es, 0.0))) < 1e-6
+        assert abs(float(a.f(1.2, 0.0)) - float(b.f(1.2, 0.0))) < 1e-6
+    above = es[1:]
+    assert np.max(np.abs(exact.ito.dgdx(above, 0.0) - fd.ito.dgdx(above, 0.0))) < 1e-6

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noisecalc import expr as xp
 from noisecalc.sde import (
     Interpretation,
     SdeModel,
@@ -172,3 +173,78 @@ def test_round_trip_randomized_models():
         ts = rng.uniform(0, 2, 100)
         for x, t in zip(xs, ts):
             assert abs(float(back.f(x, t)) - float(m.f(x, t))) < 1e-10
+
+
+def _scalar_gprime(g, x, t, domain):
+    """The scalar stencil that ``finite_diff_gprime`` vectorized."""
+    h = max(1e-6, 1e-6 * abs(x))
+    lo, hi = domain
+    left_ok, right_ok = x - h >= lo, x + h <= hi
+    if left_ok and right_ok:
+        return (float(g(x + h, t)) - float(g(x - h, t))) / (2 * h), False
+    if right_ok:
+        return (float(g(x + h, t)) - float(g(x, t))) / h, True
+    return (float(g(x, t)) - float(g(x - h, t))) / h, True
+
+
+def _loop_gprime(model, xs, t):
+    """The per-element loop that ``SdeModel.gprime`` replaced."""
+    pairs = [_scalar_gprime(model.g, float(v), t, model.domain) for v in xs]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def _fd_models():
+    rng = np.random.default_rng(17)
+    full = SdeModel(f=lambda x, t: -x, g=xp.vector_fn(xp.parse("0.5 + abs(x) + 0.1*sin(x)")),
+                    interpretation=Interpretation.HAENGGI_KLIMONTOVICH, x0=0.0)
+    half = SdeModel(f=lambda x, t: 0.0 * x, g=lambda x, t: np.sqrt(2.0 * np.asarray(x, dtype=float)),
+                    interpretation=Interpretation.HAENGGI_KLIMONTOVICH, x0=1.0,
+                    domain=(0.0, math.inf))
+    bounded = SdeModel(f=lambda x, t: 0.0 * x,
+                       g=lambda x, t: 1.0 + np.asarray(x, dtype=float) * (1.0 - x),
+                       interpretation=Interpretation.STRATONOVICH, x0=0.5, domain=(0.0, 1.0))
+    return [
+        (full, np.concatenate([rng.normal(0.0, 3.0, 500), [0.0, -1e-7, 1e-7, 1e6, -1e6]])),
+        (half, np.concatenate([rng.exponential(2.0, 500), [0.0, 1e-8, 1e-6, 2e-6, 1e-3]])),
+        (bounded, np.concatenate([rng.uniform(0.0, 1.0, 500),
+                                  [0.0, 1.0, 1e-8, 1.0 - 1e-8, 1e-6, 1.0 - 1e-6]])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["full-line", "half-line", "bounded"])
+def test_vector_gprime_matches_scalar_loop_bit_for_bit(case):
+    model, xs = _fd_models()[case]
+    ref_value, ref_flag = _loop_gprime(model, xs, 0.3)
+    assert np.array_equal(model.gprime(xs, 0.3), ref_value)
+    res = finite_diff_gprime(model.g, xs, 0.3, domain=model.domain)
+    assert np.array_equal(res.value, ref_value)
+    assert np.array_equal(res.one_sided, ref_flag)
+    assert ref_flag.any() == (case > 0)
+    # a scalar in gives Python floats out, the same numbers
+    one = finite_diff_gprime(model.g, float(xs[-1]), 0.3, domain=model.domain)
+    assert type(one.value) is float and type(one.one_sided) is bool
+    assert (one.value, one.one_sided) == (ref_value[-1], ref_flag[-1])
+    assert model.gprime(float(xs[-1]), 0.3) == ref_value[-1]
+
+
+def test_vector_gprime_rejects_points_outside_or_without_room():
+    g = lambda x, t: np.asarray(x, dtype=float) ** 2
+    with pytest.raises(ValueError, match="outside domain"):
+        finite_diff_gprime(g, np.array([0.5, -0.1]), 0.0, domain=(0.0, 1.0))
+    with pytest.raises(ValueError, match="too narrow"):
+        finite_diff_gprime(g, np.array([0.0, 5e-7]), 0.0, domain=(0.0, 1e-6))
+
+
+def test_conversion_without_dgdx_evaluates_g_three_times():
+    calls = []
+
+    def g(x, t):
+        calls.append(np.size(x))
+        return 0.5 + np.abs(x)
+
+    m = SdeModel(f=lambda x, t: -x, g=g, interpretation=Interpretation.HAENGGI_KLIMONTOVICH,
+                 x0=0.0)
+    xs = np.linspace(-2.0, 2.0, 256)
+    drift = to_ito(m).f(xs, 0.0)
+    assert len(calls) <= 3 and set(calls) == {256}
+    assert np.allclose(drift, -xs + (0.5 + np.abs(xs)) * np.sign(xs), atol=1e-8)
