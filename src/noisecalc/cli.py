@@ -403,6 +403,8 @@ def _cmd_fpe(cfg: dict, args) -> str:
     elif kind == "gaussian":
         c = _num(init.get("center", 0.0), "fpe.initial.center")
         w = _num(init.get("width", 0.5), "fpe.initial.width")
+        if not 0 < w < math.inf:
+            raise ConfigError(f"fpe.initial.width must be positive and finite, got {w}")
         initial = GridDensity.from_function(
             lambda x: np.exp(-0.5 * ((x - c) / w) ** 2), a, b, n_cells)
     elif kind == "uniform":

@@ -21,8 +21,8 @@ import numpy as np
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from .paths import SamplePath, SeedSpec, TimeGrid, VectorPath, _check_same_grid, generate_brownian, refine_bridge
-from .sde import EvaluationRule, to_ito
-from .solvers import _plain_terminal
+from .sde import EvaluationRule
+from .solvers import SolverScheme, _run_engine
 
 __all__ = [
     "EvaluationRule",
@@ -141,16 +141,15 @@ class ConvergenceTable:
 
 
 def _euler_path_from_driver(model, driver: SamplePath) -> SamplePath:
-    """Plain Euler path of ``model``'s Ito form driven by a given noise path.
+    """Euler path of ``model``'s Ito form driven by a given noise path.
 
-    No boundary handling: intended for globally smooth coefficients when
-    re-simulating on refined grids with shared driving noise.
+    One path of the ensemble engine under boundary ``None``: a state outside
+    the model's domain is flagged and clamped to its edge, as in every
+    engine run.
     """
-    ito = to_ito(model)
-    x = np.empty((1, len(driver.grid)))
-    _plain_terminal(ito.f, ito.g, EvaluationRule.LEFT, ito.x0, driver.grid.points,
-                    driver.increments()[None, :], out=x)
-    return SamplePath(driver.grid, x[0])
+    raw = _run_engine(model, SolverScheme.EULER_MARUYAMA_ITO_FORM, driver.grid.points, 1,
+                      driver.increments()[None, :], None, record="path")
+    return SamplePath(driver.grid, raw.recorded[:, 0])
 
 
 def convergence_table(
@@ -166,7 +165,8 @@ def convergence_table(
     With ``model=None`` the path is taken to be Brownian and refined by
     bridge sampling directly.  With a model, the path's grid and the model's
     initial state define level 0; the Brownian driver is bridge-refined and
-    the diffusion re-simulated on each refined grid with the shared noise.
+    the diffusion re-simulated on each refined grid with the shared noise
+    (see :func:`_euler_path_from_driver`; states are kept in its domain).
     """
     if refinement_levels < 0:
         raise ValueError("refinement_levels must be >= 0")

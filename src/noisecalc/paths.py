@@ -92,6 +92,8 @@ class PathNoise:
     Every block covering the run is opened here, once.
     """
 
+    stride = BLOCK  # between a path's draws at consecutive steps of a call
+
     def __init__(self, seed: SeedSpec, n_paths: int):
         p = seed.stream + np.arange(n_paths)
         first = seed.stream // BLOCK
@@ -105,7 +107,7 @@ class PathNoise:
     def draw(self, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``width`` steps of noise of the paths ``ids``, as
         ``(tiles, at)``: path ``ids[j]``'s draw at step ``s`` of the call is
-        ``tiles[at[j] + s * BLOCK]``.
+        ``tiles[at[j] + s * stride]``.
 
         Each call advances every block holding one of ``ids`` by ``width``
         steps, once, however many of its paths are asked for.  A block left

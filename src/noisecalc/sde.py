@@ -109,6 +109,7 @@ class GPrime(NamedTuple):
     one_sided: bool | np.ndarray
 
 
+@np.errstate(all="ignore")
 def finite_diff_gprime(
     g: CoefficientFn,
     x: float | np.ndarray,
@@ -120,7 +121,8 @@ def finite_diff_gprime(
 
     The rule of the module docstring, with ``g`` evaluated twice on all
     points: floats for a scalar ``x``, arrays for an array.  A point outside
-    the domain, or one where neither side fits, raises.
+    the domain, or one where neither side fits, raises; a NaN point (a
+    diverged state) gives NaN.  The arithmetic runs without numpy warnings.
     """
     xs = np.asarray(x, dtype=float)
     if h is None:
@@ -131,7 +133,7 @@ def finite_diff_gprime(
         raise ValueError(f"x={xs[outside].flat[0]} outside domain [{lo}, {hi}]")
     left_ok = xs - h >= lo
     right_ok = xs + h <= hi
-    stuck = ~(left_ok | right_ok)
+    stuck = ~(left_ok | right_ok | np.isnan(xs))
     if stuck.any():
         raise ValueError(f"domain [{lo}, {hi}] too narrow for the stencil at x={xs[stuck].flat[0]}")
     central = left_ok & right_ok

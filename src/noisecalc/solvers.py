@@ -11,15 +11,16 @@ Every scheme steps with one :class:`~noisecalc.sde.EvaluationRule`:
 * ``EULER_MARUYAMA_ITO_FORM``: ``DIRECT_LEFT`` on the converted Ito form,
   valid for any interpretation tag.
 
-The predictor and the corrector's evaluation point are written once and
-shared by the ensemble engine (per-path noise, boundary policy) and
-:func:`_plain_terminal` (a given increment matrix, no boundary).
+One engine steps every scheme over one of two noise sources: keyed block
+streams for a seeded run, or a given ``(n_paths, n_steps)`` increment matrix
+(the bridge-refined drivers of :func:`strong_convergence_order` and of the
+model-driven convergence tables in :mod:`noisecalc.integrals`).
 
-Domain handling: a state or evaluation point outside the closed domain by
-more than 1e-12 is a DomainViolation (stop, or flag-and-clamp under
-boundary ``None``); within tolerance it is clamped to the edge, which
-distinguishes genuine boundary pathologies from rounding.  Reflection folds
-the state back into the interval and logs each fold.
+Domain handling, for both sources: a state or evaluation point outside the
+closed domain by more than 1e-12 is a DomainViolation (stop, or
+flag-and-clamp under boundary ``None``); within tolerance it is clamped to
+the edge, which distinguishes genuine boundary pathologies from rounding.
+Reflection folds the state back into the interval and logs each fold.
 
 Ensembles are vectorized across paths.  Path ``i`` of a run seeded
 ``(master, stream, key)`` draws its noise through
@@ -45,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import BLOCK, PathNoise, SamplePath, SeedSpec, TimeGrid, generate_brownian, refine_bridge
+from .paths import PathNoise, SamplePath, SeedSpec, TimeGrid, generate_brownian, refine_bridge
 from .sde import EvaluationRule, Interpretation, SdeModel, to_ito
 
 __all__ = [
@@ -256,21 +257,6 @@ def _effective(model: SdeModel, scheme: SolverScheme):
     return model.f, model.g, rule
 
 
-def _predict(f, g, x, t, dt, dw):
-    """The drift part ``x + f dt`` and the Euler step ``x^ = x + f dt + g(x) dW``;
-    a corrector adds its own ``g dW`` to the same drift part."""
-    base = x + np.asarray(f(x, t), dtype=float) * dt
-    return base, base + np.asarray(g(x, t), dtype=float) * dw
-
-
-def _corrector_point(rule: EvaluationRule, x, pred, t_now, t_next, dt):
-    """Where a MIDPOINT or RIGHT corrector reads ``g``: ``(x + x^)/2`` at
-    ``t + dt/2``, or the predicted point ``x^`` at ``t_next``."""
-    if rule is EvaluationRule.MIDPOINT:
-        return 0.5 * (x + pred), t_now + 0.5 * dt
-    return pred, t_next
-
-
 def _fold_into(v: np.ndarray, lo: float, hi: float):
     """Reflected positions, and the indices and fold counts of the values
     outside [lo, hi].  On a half-line, ``v`` itself when none is outside."""
@@ -304,12 +290,31 @@ class _Raw:
         self.events: list[list[Event]] | None = None
 
 
+class _GivenNoise:
+    """A given ``(n_paths, n_steps)`` increment matrix, read with the
+    ``(tiles, at)`` contract of :meth:`PathNoise.draw`: row ``ids[j]``'s
+    increment at step ``s`` of a call is ``tiles[at[j] + s * stride]``."""
+
+    stride = 1
+
+    def __init__(self, dw, n_paths: int, n_steps: int):
+        dw = np.ascontiguousarray(dw, dtype=float)
+        if dw.shape != (n_paths, n_steps):
+            raise ValueError(f"increments of shape {dw.shape}, expected ({n_paths}, {n_steps})")
+        self._flat, self._n_steps, self._step = dw.reshape(-1), n_steps, 0
+
+    def draw(self, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        at = ids * self._n_steps + self._step
+        self._step += width
+        return self._flat, at
+
+
 def _run_engine(
     model: SdeModel,
     scheme: SolverScheme,
     times: np.ndarray,
     n_paths: int,
-    seed: SeedSpec,
+    noise: SeedSpec | np.ndarray,
     boundary: Boundary,
     *,
     record: str = "terminal",
@@ -317,8 +322,13 @@ def _run_engine(
     hit_level: float | None = None,
     hit_band: float = 0.0,
 ) -> _Raw:
-    """Step ``n_paths`` seeded paths; recorded paths also log their events,
-    and with a ``hit_level`` each path freezes at its first hit."""
+    """Step ``n_paths`` paths; recorded paths also log their events, and
+    with a ``hit_level`` each path freezes at its first hit.
+
+    ``noise`` is a :class:`SeedSpec`, whose paths draw standard normals
+    scaled by ``sqrt(dt)``, or a given ``(n_paths, n_steps)`` matrix of
+    increments, stepped as they are.
+    """
     f, g, rule = _effective(model, scheme)
     lo, hi = model.domain
     if isinstance(boundary, Reflect):
@@ -327,7 +337,10 @@ def _run_engine(
 
     n_steps = times.size - 1
     dts = np.diff(times)
-    sqdt = np.sqrt(dts)
+    if isinstance(noise, SeedSpec):
+        noise, scale = PathNoise(noise, n_paths), np.sqrt(dts)
+    else:  # 1.0 * dw is dw bit for bit
+        noise, scale = _GivenNoise(noise, n_paths, n_steps), np.ones(n_steps)
     x0 = float(model.x0)
     raw = _Raw(n_paths, x0, n_steps)
     events = raw.events = [[] for _ in range(n_paths)] if record == "path" else None
@@ -354,8 +367,6 @@ def _run_engine(
             raw.hit_time[:] = times[0]
             raw.final_step[:] = 0
             ids = ids[:0]
-
-    noise = PathNoise(seed, n_paths)
 
     def _project(values, t_now):
         """Boundary policy for the live rows: safe values, and the rows to
@@ -397,6 +408,7 @@ def _run_engine(
         keep[rows] = False
         return keep
 
+    stride = noise.stride
     step = 0
     while step < n_steps and ids.size:
         width = min(_CHUNK, n_steps - step)
@@ -408,11 +420,16 @@ def _run_engine(
         for c in range(width):
             k = step + c
             t_now, t_next, dt = times[k], times[k + 1], dts[k]
-            dw = sqdt[k] * tiles[at + c * BLOCK]
-            base, prop = _predict(f, g, xa, t_now, dt, dw)
+            dw = scale[k] * tiles[at + c * stride]
+            # the drift part x + f dt, shared by the predictor and a corrector
+            base = xa + np.asarray(f(xa, t_now), dtype=float) * dt
+            prop = base + np.asarray(g(xa, t_now), dtype=float) * dw
 
             if rule is not EvaluationRule.LEFT:
-                point, t_eval = _corrector_point(rule, xa, prop, t_now, t_next, dt)
+                if rule is EvaluationRule.MIDPOINT:
+                    point, t_eval = 0.5 * (xa + prop), t_now + 0.5 * dt
+                else:
+                    point, t_eval = prop, t_next
                 point_safe, stop = (point, None) if free else _project(point, t_next)
                 if stop is not None:
                     keep = _stop(stop, k, xa[stop], point[stop])
@@ -498,14 +515,15 @@ def simulate_path(
 
 def _summarize(model, scheme, cfg, raw, hitting=None) -> EnsembleSummary:
     terminal = raw.terminal[raw.completed]
+    mean, var = math.nan, math.nan
+    hist, edges = np.array([]), np.array([])
     if terminal.size:
-        mean = float(terminal.mean())
+        with np.errstate(all="ignore"):  # terminals of +inf and -inf
+            mean = float(terminal.mean())
+    if math.isfinite(mean):  # a diverged ensemble has no spread or histogram
         var = float(terminal.var(ddof=1)) if terminal.size > 1 else 0.0
         bins = min(50, max(5, terminal.size // 20 + 5))
         hist, edges = np.histogram(terminal, bins=bins, density=True)
-    else:
-        mean, var = math.nan, math.nan
-        hist, edges = np.array([]), np.array([])
     return EnsembleSummary(
         n_paths=cfg.n_paths,
         dt=cfg.dt,
@@ -756,31 +774,6 @@ def besq_dimension(model_kind: str) -> int:
 # --- strong convergence -------------------------------------------------------
 
 
-def _plain_terminal(f, g, rule, x0, times, dw, out=None):
-    """Vectorized stepping of given increments without boundary handling.
-
-    ``dw`` has shape (n_paths, n_steps); ``x0`` is one start or one per
-    row; meant for globally smooth models.  Returns the terminals; with
-    ``out``, an (n_paths, n_steps + 1) array, every state is written there
-    too.
-    """
-    rule = EvaluationRule(rule)
-    x = np.full(dw.shape[0], x0, dtype=float)
-    if out is not None:
-        out[:, 0] = x
-    dts = np.diff(times)
-    for k, dw_k in enumerate(dw.T):  # one row of the transpose per step
-        t_now, dt = times[k], dts[k]
-        base, x_next = _predict(f, g, x, t_now, dt, dw_k)
-        if rule is not EvaluationRule.LEFT:
-            point, t_eval = _corrector_point(rule, x, x_next, t_now, times[k + 1], dt)
-            x_next = base + np.asarray(g(point, t_eval), dtype=float) * dw_k
-        x = x_next
-        if out is not None:
-            out[:, k + 1] = x
-    return x
-
-
 def strong_convergence_order(
     model: SdeModel,
     scheme: SolverScheme,
@@ -816,7 +809,6 @@ def strong_convergence_order(
         raise ValueError("horizon must be an integer multiple of the coarsest dt")
     n_ref = n_levels[-1] * ref_factor
 
-    f, g, rule = _effective(model, scheme)
     n_paths = cfg.n_paths
 
     ladders: dict[int, list[np.ndarray]] = {n: [] for n in n_levels + [n_ref]}
@@ -837,7 +829,7 @@ def strong_convergence_order(
 
     ref_incs = np.vstack(ladders[n_ref])
     if reference == "finest":
-        x_ref = _plain_terminal(f, g, rule, model.x0, times_of[n_ref], ref_incs)
+        x_ref = _run_engine(model, scheme, times_of[n_ref], n_paths, ref_incs, None).terminal
     else:
         grid_ref = TimeGrid(times_of[n_ref])
         x_ref = np.array([
@@ -848,7 +840,7 @@ def strong_convergence_order(
     errs = []
     for n in n_levels:
         incs = np.vstack(ladders[n])
-        x_end = _plain_terminal(f, g, rule, model.x0, times_of[n], incs)
+        x_end = _run_engine(model, scheme, times_of[n], n_paths, incs, None).terminal
         errs.append(float(np.mean(np.abs(x_end - x_ref))))
     if any(e <= 0 for e in errs):
         raise ValueError("zero strong error: a level coincides with the reference")

@@ -376,6 +376,9 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
         "n_cells": 16, "horizon": 0.1,
         "initial": {"kind": "gaussian", "center": 0.1875, "width": 0}}},
                  id="fpe-gaussian-zero-width-on-a-cell-center"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {
+        "n_cells": 16, "horizon": 0.1, "initial": {"kind": "gaussian", "width": -0.5}}},
+                 id="fpe-gaussian-negative-width"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"dt": "abc"}},
                  id="experiment-dt-string"),
     pytest.param(["experiment", "langevin1"], {"experiment": {"hitting": [1]}},
@@ -407,6 +410,22 @@ def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, paylo
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
     assert main([*argv, "--config", cfg]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g, tag, scheme", [
+    ("0.5 + abs(x)", "hk", "euler"),  # no symbolic dg/dx: g is differenced at NaN states
+    ("1", "ito", "left"),  # the terminals are +inf
+], ids=["nan-states", "inf-terminals"])
+def test_diverging_paths_exit_3_with_one_message(tmp_path, capsys, g, tag, scheme):
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {"f": "x^3", "g": g, "interpretation": tag,
+                             "domain": [None, None], "x0": 2.0}},
+        "run": {"dt": 0.01, "horizon": 2.0, "scheme": scheme},
+        "outputs": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error:")
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -235,6 +235,14 @@ def test_vector_gprime_rejects_points_outside_or_without_room():
         finite_diff_gprime(g, np.array([0.0, 5e-7]), 0.0, domain=(0.0, 1e-6))
 
 
+def test_vector_gprime_gives_nan_at_a_nan_point():
+    # a diverged state is not a stencil error; the other points keep their value
+    g = lambda x, t: 0.5 + np.abs(x)
+    res = finite_diff_gprime(g, np.array([np.nan, 2.0, np.inf]), 0.0)
+    assert np.isnan(res.value[0]) and res.value[1] == finite_diff_gprime(g, 2.0, 0.0).value
+    assert math.isnan(finite_diff_gprime(g, math.nan, 0.0, domain=(0.0, math.inf)).value)
+
+
 def test_conversion_without_dgdx_evaluates_g_three_times():
     calls = []
 

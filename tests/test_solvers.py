@@ -25,7 +25,6 @@ from noisecalc.solvers import (
     simulate_reflected,
     strong_convergence_order,
     _ou_coefficients,
-    _plain_terminal,
     _run_engine,
 )
 from noisecalc.physics import LangevinParams, kinetic_models
@@ -310,12 +309,12 @@ def test_strong_order_requires_three_levels():
 
 
 def test_identical_stepping_gives_zero_error_against_itself():
-    f = lambda x, t: -x
-    g = lambda x, t: 1.0 + 0.25 * np.sin(x)
+    m = SdeModel(f=lambda x, t: -x, g=lambda x, t: 1.0 + 0.25 * np.sin(x),
+                 interpretation=Interpretation.ITO, x0=0.5)
     dw = SeedSpec(52).generator().standard_normal((10, 64)) * math.sqrt(1 / 64)
     times = np.linspace(0.0, 1.0, 65)
-    a = _plain_terminal(f, g, "left", 0.5, times, dw)
-    b = _plain_terminal(f, g, "left", 0.5, times, dw)
+    a = _run_engine(m, SolverScheme.DIRECT_LEFT, times, 10, dw, None).terminal
+    b = _run_engine(m, SolverScheme.DIRECT_LEFT, times, 10, dw, None).terminal
     assert np.array_equal(a, b)
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from conftest import euler_terminal_matrix, path_noise
 from noisecalc.integrals import _euler_path_from_driver
-from noisecalc.paths import SeedSpec, TimeGrid, generate_brownian, generate_brownian_vector
+from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, generate_brownian, generate_brownian_vector
 from noisecalc.physics import LangevinParams, langevin_velocity_pair
 from noisecalc.sde import Interpretation, SdeModel, to_ito
-from noisecalc.solvers import (McConfig, SolverScheme, _effective, _plain_terminal, scheme_for,
-                               simulate_ensemble)
+from noisecalc.solvers import (STOP_ON_VIOLATION, EventKind, McConfig, SolverScheme, _run_engine,
+                               scheme_for, simulate_ensemble)
 
 
 def _model(tag):
@@ -86,9 +86,10 @@ def test_engine_terminals_equal_plain_stepper(tag):
     cfg = McConfig(n_paths=n_paths, dt=dt, horizon=n_steps * dt, seed=SeedSpec(63, 4),
                    boundary=None, record="terminal")
     engine = simulate_ensemble(model, scheme, cfg).terminals
+    # the same run stepped over the increments it draws, given as a matrix
     dw = math.sqrt(dt) * path_noise(cfg.seed, n_paths, n_steps).T
-    f, g, rule = _effective(model, scheme)
-    assert np.array_equal(engine, _plain_terminal(f, g, rule, model.x0, cfg.times(), dw))
+    given = _run_engine(model, scheme, cfg.times(), n_paths, dw, None).terminal
+    assert np.array_equal(engine, given)
 
 
 def test_left_stepper_equals_euler_reference():
@@ -96,10 +97,57 @@ def test_left_stepper_equals_euler_reference():
     n_steps, dt = 64, 2.0**-6
     model = _model(Interpretation.ITO)
     dw = SeedSpec(64).generator().standard_normal((10, n_steps)) * math.sqrt(dt)
-    f, g, rule = _effective(model, SolverScheme.DIRECT_LEFT)
-    got = _plain_terminal(f, g, rule, model.x0, np.arange(n_steps + 1) * dt, dw)
+    got = _run_engine(model, SolverScheme.DIRECT_LEFT, np.arange(n_steps + 1) * dt, 10, dw,
+                      None).terminal
     ref = euler_terminal_matrix(model.f, model.g, model.x0, dt, dw)
     assert np.array_equal(got, ref[:, -1])
+
+
+def _half_line_hk(x0=1.0):
+    return SdeModel(f=lambda x, t: np.full_like(np.asarray(x, dtype=float), -0.4),
+                    g=lambda x, t: 0.3 + 0.2 * np.asarray(x, dtype=float),
+                    interpretation=Interpretation.HAENGGI_KLIMONTOVICH, x0=x0,
+                    domain=(0.0, math.inf))
+
+
+def test_given_increments_equal_seeded_run_with_stops():
+    # paths stop on the half-line's edge before and after the 512-step
+    # chunk edge; every field of the two runs agrees bit for bit
+    n_paths, n_steps, dt = 40, 1300, 2.0**-9
+    model, scheme = _half_line_hk(), SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR
+    times, seed = np.arange(n_steps + 1) * dt, SeedSpec(65, 3)
+    seeded = _run_engine(model, scheme, times, n_paths, seed, STOP_ON_VIOLATION, record="path")
+    dw = math.sqrt(dt) * path_noise(seed, n_paths, n_steps).T
+    given = _run_engine(model, scheme, times, n_paths, dw, STOP_ON_VIOLATION, record="path")
+    stopped = seeded.final_step[~seeded.completed]
+    assert seeded.completed.any() and (stopped < 512).any() and (stopped > 512).any()
+    for name in ("terminal", "completed", "final_step", "violations", "moved",
+                 "recorded_steps"):
+        assert np.array_equal(getattr(given, name), getattr(seeded, name)), name
+    assert np.array_equal(given.recorded, seeded.recorded, equal_nan=True)
+    assert given.events == seeded.events
+
+
+@pytest.mark.parametrize("shape", [(3, 99), (100, 3), (3, 101), (300,)])
+def test_given_increments_of_the_wrong_shape_raise(shape):
+    times = np.arange(101) * 0.01
+    with pytest.raises(ValueError, match="shape"):
+        _run_engine(_half_line_hk(), SolverScheme.EULER_MARUYAMA_ITO_FORM, times, 3,
+                    np.zeros(shape), None)
+
+
+def test_given_increments_on_a_half_line_are_clamped_and_flagged():
+    # the domain policy holds for given increments as for seeded runs
+    n_steps, dt = 200, 2.0**-7
+    dw = SeedSpec(66).generator().standard_normal((5, n_steps)) * math.sqrt(dt)
+    raw = _run_engine(_half_line_hk(0.2), SolverScheme.EULER_MARUYAMA_ITO_FORM,
+                      np.arange(n_steps + 1) * dt, 5, dw, None, record="path")
+    assert raw.completed.all() and raw.violations.sum() > 0
+    assert raw.recorded.min() == 0.0
+    assert any(e.kind is EventKind.DOMAIN_VIOLATION for evs in raw.events for e in evs)
+    driver = SamplePath(TimeGrid(np.arange(n_steps + 1) * dt),
+                        np.concatenate([[0.0], np.cumsum(dw[0])]))
+    assert _euler_path_from_driver(_half_line_hk(0.2), driver).values.min() >= 0.0
 
 
 def test_one_rule_vocabulary():
