@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric divergence.
 :func:`main` is the one error boundary: every input error is a
 ``ValueError`` (a missing, unknown or mistyped key, read through
 :func:`_block` and :func:`_num`, or a value the library rejects) and exits
-2 with one ``config error:`` line on stderr.  stdout prints one summary
+2 with one ``config error:`` line on stderr; a diverged run raises
+:class:`~noisecalc.solvers.NumericError`, in a command or in the library,
+and exits 3 with one ``numeric error:`` line.  stdout prints one summary
 line.  Output files are written atomically (temp file, then rename), so a
 run is reproducible byte for byte from ``(config, seed)``.  Every command
 runs serially.
@@ -50,17 +52,14 @@ from .physics import (
     rest_start_diagnostics,
 )
 from .sde import EvaluationRule, Interpretation, SdeModel, from_ito, to_ito
-from .solvers import McConfig, Reflect, STOP_ON_VIOLATION, SolverScheme, simulate_ensemble
+from .solvers import (McConfig, NumericError, Reflect, STOP_ON_VIOLATION, SolverScheme,
+                      simulate_ensemble)
 
 __all__ = ["main", "ConfigError", "NumericError"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration: exit code 2, like every ``ValueError``."""
-
-
-class NumericError(RuntimeError):
-    """Numeric divergence in an otherwise valid run: exit code 3."""
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -214,9 +213,9 @@ def _build_model(cfg: dict):
     return trio.member(interp), None, None
 
 
-def _mc_config(cfg: dict, args, default_boundary=None) -> McConfig:
+def _mc_config(cfg: dict, args) -> McConfig:
     run = _block(cfg, "run", _RUN_KEYS, "run")
-    boundary = run.get("boundary", default_boundary)
+    boundary = run.get("boundary")
     if isinstance(boundary, dict):
         boundary = _reflect_from(boundary)
     elif boundary in ("stop", STOP_ON_VIOLATION):

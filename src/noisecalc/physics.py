@@ -2,10 +2,14 @@
 noise interpretations, plus the rest-start diagnostics that exhibit it.
 
 Each factory returns the matched triple of models for the same physical
-quantity.  The kinetic-energy families share the diffusion
-``g(K) = sqrt(2 sigma^2 K / m)`` on (0, inf); the relativistic energy lives
-on (M, inf) in natural units (c = 1) with user-supplied friction and noise
-amplitudes as functions of the energy (defaults: constant 1).
+quantity.  The kinetic-energy families are one law indexed by the number
+``delta`` of velocity components (1 for one particle, 2 for two): the
+diffusion ``g(K) = sqrt(2 sigma^2 K / m)`` on (0, inf), and under the rule
+offset ``lambda`` (0 Ito, 1/2 Stratonovich, 1 HK) the drift
+``(delta - 2 lambda) sigma^2/(2m) - 2 gamma K / m``.  The relativistic energy lives on (M, inf) in natural units (c = 1) with
+user-supplied friction and noise amplitudes as functions of the energy
+(defaults: constant 1); its drifts are written as displayed, since they
+agree under conversion only for a constant noise amplitude.
 
 At the boundary the drift triples are the whole story: started from rest,
 the Ito member is pushed inward (the boundary reflects instantaneously),
@@ -29,6 +33,7 @@ from .solvers import (
     Reflect,
     STOP_ON_VIOLATION,
     SolverScheme,
+    _check_langevin,
     _run_engine,
     hitting_time,
     scheme_for,
@@ -67,8 +72,7 @@ class LangevinParams:
     u0: float | None = None
 
     def __post_init__(self) -> None:
-        if min(self.m, self.gamma, self.sigma) <= 0:
-            raise ValueError("m, gamma, sigma must all be positive")
+        _check_langevin(self.m, self.gamma, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,13 @@ class InterpretationTriple:
         }[interpretation]
 
 
-def _kinetic_g(params: LangevinParams):
-    c = 2.0 * params.sigma**2 / params.m
+def _kinetic_family(params: LangevinParams, delta: int, x0: float,
+                    label: str) -> InterpretationTriple:
+    """The kinetic family of the module docstring: each member's drift
+    constant is read from the rule offset of its tag."""
+    m, gamma, sigma = params.m, params.gamma, params.sigma
+    c = 2.0 * sigma**2 / m
+    relax = 2.0 * gamma / m
 
     def g(x, t):
         return np.sqrt(c * x)
@@ -138,63 +147,33 @@ def _kinetic_g(params: LangevinParams):
         # g g' = sigma^2/m identically; g' alone diverges at the origin
         return 0.5 * c / np.sqrt(c * x)
 
-    return g, dgdx
+    def member(tag, short):
+        # a vanishing constant is -0.0, so that `inject - relax K` is
+        # `-relax K` bit for bit, down to the sign of the zero at K = 0
+        inject = (delta - 2 * tag.ito_drift_offset) * sigma**2 / (2.0 * m) or -0.0
+        return SdeModel(f=lambda x, t: inject - relax * x, g=g, dgdx=dgdx,
+                        interpretation=tag, x0=x0, domain=(0.0, math.inf),
+                        label=f"{label}-{short}",
+                        assumptions="sqrt diffusion: Lipschitz fails at the origin")
+
+    return InterpretationTriple(*(
+        member(tag, short) for tag, short in zip(Interpretation, ("ito", "strat", "hk"))))
 
 
 def kinetic_models(params: LangevinParams) -> InterpretationTriple:
-    """Kinetic energy of one Langevin particle, ``K = m v^2 / 2``.
-
-    Drifts: ``sigma^2/(2m) - 2 gamma K / m`` (Ito), ``-2 gamma K / m``
-    (Stratonovich), ``-sigma^2/(2m) - 2 gamma K / m`` (HK); all share
-    ``g = sqrt(2 sigma^2 K / m)`` on (0, inf).
-    """
-    m, gamma, sigma = params.m, params.gamma, params.sigma
-    g, dgdx = _kinetic_g(params)
-    x0 = 0.5 * m * params.v0**2
-    relax = 2.0 * gamma / m
-    inject = sigma**2 / (2.0 * m)
-
-    def common(f, tag, label):
-        return SdeModel(f=f, g=g, dgdx=dgdx, interpretation=tag, x0=x0,
-                        domain=(0.0, math.inf), label=label,
-                        assumptions="sqrt diffusion: Lipschitz fails at the origin")
-
-    return InterpretationTriple(
-        ito=common(lambda x, t: inject - relax * x, Interpretation.ITO, "kinetic-ito"),
-        stratonovich=common(lambda x, t: -relax * x, Interpretation.STRATONOVICH,
-                            "kinetic-strat"),
-        hk=common(lambda x, t: -inject - relax * x,
-                  Interpretation.HAENGGI_KLIMONTOVICH, "kinetic-hk"),
-    )
+    """Kinetic energy of one Langevin particle, ``K = m v^2 / 2``: the
+    kinetic family at delta = 1."""
+    return _kinetic_family(params, 1, 0.5 * params.m * params.v0**2, "kinetic")
 
 
 def two_particle_models(params: LangevinParams) -> InterpretationTriple:
-    """Total kinetic energy of two independent Langevin particles.
-
-    Drifts: ``sigma^2/m - 2 gamma K / m`` (Ito), ``sigma^2/(2m) - ...``
-    (Stratonovich), ``-2 gamma K / m`` (HK).  The HK drift and the
-    diffusion both vanish at zero: an absorbing state.
-    """
+    """Total kinetic energy of two independent Langevin particles: the
+    kinetic family at delta = 2.  The HK drift and the diffusion both
+    vanish at zero: an absorbing state."""
     if params.u0 is None:
         raise ValueError("two-particle family needs u0")
-    m, gamma, sigma = params.m, params.gamma, params.sigma
-    g, dgdx = _kinetic_g(params)
-    x0 = 0.5 * m * (params.u0**2 + params.v0**2)
-    relax = 2.0 * gamma / m
-    inject = sigma**2 / m
-
-    def common(f, tag, label):
-        return SdeModel(f=f, g=g, dgdx=dgdx, interpretation=tag, x0=x0,
-                        domain=(0.0, math.inf), label=label,
-                        assumptions="sqrt diffusion: Lipschitz fails at the origin")
-
-    return InterpretationTriple(
-        ito=common(lambda x, t: inject - relax * x, Interpretation.ITO, "kinetic2-ito"),
-        stratonovich=common(lambda x, t: 0.5 * inject - relax * x,
-                            Interpretation.STRATONOVICH, "kinetic2-strat"),
-        hk=common(lambda x, t: -relax * x, Interpretation.HAENGGI_KLIMONTOVICH,
-                  "kinetic2-hk"),
-    )
+    return _kinetic_family(params, 2, 0.5 * params.m * (params.u0**2 + params.v0**2),
+                           "kinetic2")
 
 
 def relativistic_models(params: RelativisticParams) -> InterpretationTriple:

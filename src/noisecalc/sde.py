@@ -114,7 +114,6 @@ def finite_diff_gprime(
     g: CoefficientFn,
     x: float | np.ndarray,
     t: float,
-    h: float | None = None,
     domain: tuple[float, float] = (-math.inf, math.inf),
 ) -> GPrime:
     """Central difference of ``g`` in ``x``; one-sided near a domain edge.
@@ -125,8 +124,7 @@ def finite_diff_gprime(
     diverged state) gives NaN.  The arithmetic runs without numpy warnings.
     """
     xs = np.asarray(x, dtype=float)
-    if h is None:
-        h = np.maximum(1e-6, 1e-6 * np.abs(xs))
+    h = np.maximum(1e-6, 1e-6 * np.abs(xs))
     lo, hi = domain
     outside = (xs < lo) | (xs > hi)
     if outside.any():

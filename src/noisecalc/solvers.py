@@ -36,6 +36,12 @@ a chunk's live paths are stepped as one full-width array, compacted only
 after a path stops; without a reflecting boundary an unbounded domain is
 not projected at all (nothing can be clamped or stopped); and event lists
 are built only when paths are recorded.
+
+The exact OU oracles step the velocities of ``delta`` Langevin particles
+by exact Gaussian transitions, through one vectorized stepper.  Component
+``c`` of oracle path ``i`` of a run seeded ``(master, stream, key)`` draws
+from its own substream ``(stream + i) * delta + c``, so path ``i`` of any
+oracle is the one-path oracle seeded ``seed.shifted(i)``.
 """
 from __future__ import annotations
 
@@ -60,6 +66,7 @@ __all__ = [
     "McConfig",
     "EnsembleSummary",
     "EnsembleResult",
+    "NumericError",
     "scheme_for",
     "simulate_path",
     "simulate_ensemble",
@@ -75,8 +82,12 @@ __all__ = [
 ]
 
 _DOMAIN_TOL = 1e-12
-# Steps of noise drawn per path at a time by the engine and the kinetic oracle.
+# Steps of noise drawn per path at a time by the engine and the exact oracles.
 _CHUNK = 512
+
+
+class NumericError(RuntimeError):
+    """Numeric divergence in an otherwise valid run (CLI exit code 3)."""
 
 
 class SolverScheme(enum.Enum):
@@ -490,6 +501,8 @@ def _path_result(raw: _Raw, times: np.ndarray, i: int) -> PathResult:
     keep = steps <= last
     t = times[steps[keep]]
     values = raw.recorded[keep, i].copy()
+    if not np.isfinite(values).all():  # a diverged run, not an invalid input
+        raise NumericError(f"path {i} diverged: its values are not all finite")
     events = tuple(raw.events[i]) if raw.events is not None else ()
     return PathResult(
         path=SamplePath(TimeGrid(t), values),
@@ -545,7 +558,8 @@ def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> E
 
     Per-path errors become events, never abort the ensemble; the summary is
     a pure function of ``(model, scheme, cfg)`` regardless of execution
-    interleaving.
+    interleaving.  A recorded path that diverges to a non-finite value
+    raises :class:`NumericError`: a :class:`SamplePath` cannot hold it.
     """
     times = cfg.times()
     raw = _run_engine(
@@ -632,6 +646,62 @@ def _check_langevin(m, gamma, sigma):
         raise ValueError("m, gamma, sigma must all be positive")
 
 
+def _energy(m: float, v: np.ndarray) -> np.ndarray:
+    """Kinetic energy ``m |v|^2 / 2`` over the last (component) axis."""
+    return 0.5 * m * np.sum(v * v, axis=-1)
+
+
+def _oracle_velocities(
+    delta: int, m: float, gamma: float, sigma: float, v0s: Sequence[float],
+    h, n_paths: int, seed: SeedSpec, level: float | None = None,
+) -> np.ndarray:
+    """Velocities ``(n_paths, len(h) + 1, delta)`` of oracle paths over the
+    spacings ``h``, drawn ``_CHUNK`` steps a call.  With a ``level``, each
+    path's first step of energy at most ``level`` instead (-1 for none); a
+    path draws no chunk after the one it hits in.
+    """
+    if delta not in (1, 2) or len(v0s) != delta:
+        raise ValueError("delta must be 1 or 2 and match len(v0s)")
+    _check_langevin(m, gamma, sigma)
+    decay, scale = _ou_coefficients(m, gamma, sigma, h)
+    n_steps = decay.size
+    gens = [[SeedSpec(seed.master, (seed.stream + i) * delta + c, seed.key).generator()
+             for c in range(delta)] for i in range(n_paths)]
+    v = np.tile(np.asarray(v0s, dtype=float), (n_paths, 1))
+    if level is None:
+        out = np.empty((n_paths, n_steps + 1, delta))
+        out[:, 0] = v
+        live = np.arange(n_paths)
+    else:
+        out = np.where(_energy(m, v) <= level, 0, -1)
+        live = np.flatnonzero(out < 0)
+
+    step = 0
+    while step < n_steps and live.size:
+        width = min(_CHUNK, n_steps - step)
+        z = np.empty((live.size, delta, width))
+        for row, i in enumerate(live):
+            for c, gen in enumerate(gens[i]):
+                gen.standard_normal(out=z[row, c])
+        va, alive = v[live], np.ones(live.size, dtype=bool)
+        for s in range(width):
+            k = step + s
+            va = va * decay[k] + scale[k] * z[:, :, s]
+            if level is None:
+                out[:, k + 1] = va
+                continue
+            hit = np.flatnonzero(alive & (_energy(m, va) <= level))
+            if hit.size:
+                out[live[hit]] = k + 1
+                alive[hit] = False
+                if not alive.any():
+                    break
+        v[live] = va
+        live = live[alive]
+        step += width
+    return out
+
+
 def exact_ou_path(
     m: float, gamma: float, sigma: float, v0: float,
     grid: TimeGrid, seed: SeedSpec,
@@ -642,16 +712,8 @@ def exact_ou_path(
     variance ``sigma^2 / (2 gamma m) * (1 - exp(-2 gamma h / m))``, so the
     sampled skeleton is exact in distribution for any spacing.
     """
-    _check_langevin(m, gamma, sigma)
-    decay, scale = _ou_coefficients(m, gamma, sigma, grid.spacings)
-    z = seed.generator().standard_normal(grid.n_steps)
-    v = np.empty(len(grid))
-    v[0] = v0
-    cur = float(v0)
-    for k in range(grid.n_steps):
-        cur = cur * decay[k] + scale[k] * z[k]
-        v[k + 1] = cur
-    return SamplePath(grid, v)
+    v = _oracle_velocities(1, m, gamma, sigma, [v0], grid.spacings, 1, seed)
+    return SamplePath(grid, v[0, :, 0])
 
 
 def exact_kinetic_oracle(
@@ -660,40 +722,23 @@ def exact_kinetic_oracle(
 ) -> SamplePath:
     """Kinetic energy of ``delta`` independent Langevin particles.
 
-    Built from exact velocity transitions (substream ``stream*delta + c``
-    for component ``c``), hence exact in distribution at the grid times;
+    Built from exact velocity transitions, one substream per component
+    (module docstring), hence exact in distribution at the grid times;
     this is the independent oracle for the kinetic-energy claims.
     """
-    if delta not in (1, 2):
-        raise ValueError("delta must be 1 or 2")
-    if len(v0s) != delta:
-        raise ValueError(f"need {delta} initial velocities, got {len(v0s)}")
-    total = np.zeros(len(grid))
-    for c in range(delta):
-        sub = SeedSpec(seed.master, seed.stream * delta + c, seed.key)
-        v = exact_ou_path(m, gamma, sigma, v0s[c], grid, sub).values
-        total += v * v
-    return SamplePath(grid, 0.5 * m * total)
+    v = _oracle_velocities(delta, m, gamma, sigma, v0s, grid.spacings, 1, seed)
+    return SamplePath(grid, _energy(m, v[0]))
 
 
 def exact_kinetic_terminal(
     delta: int, m: float, gamma: float, sigma: float,
     v0s: Sequence[float], horizon: float, n_paths: int, seed: SeedSpec,
 ) -> np.ndarray:
-    """Terminal kinetic-energy sample, one exact transition per particle."""
-    if delta not in (1, 2) or len(v0s) != delta:
-        raise ValueError("delta must be 1 or 2 and match len(v0s)")
-    _check_langevin(m, gamma, sigma)
-    decay, scale = _ou_coefficients(m, gamma, sigma, horizon)
-    out = np.zeros(n_paths)
-    for i in range(n_paths):
-        total = 0.0
-        for c in range(delta):
-            gen = SeedSpec(seed.master, (seed.stream + i) * delta + c, seed.key).generator()
-            v = v0s[c] * decay + scale * gen.standard_normal()
-            total += v * v
-        out[i] = 0.5 * m * total
-    return out
+    """Terminal kinetic-energy sample, one exact transition per particle;
+    entry ``i`` is the final value of :func:`exact_kinetic_oracle` on the
+    grid ``[0, horizon]`` seeded ``seed.shifted(i)``."""
+    v = _oracle_velocities(delta, m, gamma, sigma, v0s, [horizon], n_paths, seed)
+    return _energy(m, v[:, 1])
 
 
 def kinetic_oracle_hitting(
@@ -702,57 +747,17 @@ def kinetic_oracle_hitting(
 ) -> HittingStats:
     """Ensemble first-passage statistics of the exact kinetic oracle.
 
-    Vectorized across paths; path ``i`` component ``c`` draws from the
-    substream ``(stream + i) * delta + c``, matching
-    :func:`exact_kinetic_oracle` path by path.  Paths freeze at their
+    Vectorized across paths; path ``i`` is :func:`exact_kinetic_oracle`
+    seeded ``cfg.seed.shifted(i)``, step for step.  Paths freeze at their
     first entry into the band.
     """
-    if delta not in (1, 2) or len(v0s) != delta:
-        raise ValueError("delta must be 1 or 2 and match len(v0s)")
-    _check_langevin(m, gamma, sigma)
     if band <= 0:
         raise ValueError("band must be positive")
-    n = cfg.n_paths
-    n_steps = cfg.n_steps
-    decay, scale = _ou_coefficients(m, gamma, sigma, cfg.dt)
-
-    gens = [
-        [SeedSpec(cfg.seed.master, (cfg.seed.stream + i) * delta + c, cfg.seed.key).generator()
-         for c in range(delta)]
-        for i in range(n)
-    ]
-    v = np.tile(np.asarray(v0s, dtype=float), (n, 1))
-    hit_time = np.full(n, np.nan)
-    k0 = 0.5 * m * float(np.sum(np.square(v0s)))
-    if k0 <= level + band:
-        hit_time[:] = 0.0
-        return _hitting_stats(level, band, n, hit_time)
-
-    active = np.arange(n)
-    step = 0
-    while step < n_steps and active.size:
-        width = min(_CHUNK, n_steps - step)
-        z = np.empty((active.size, delta, width))
-        for row, i in enumerate(active):
-            for c in range(delta):
-                z[row, c] = gens[i][c].standard_normal(width)
-        va = v[active]
-        alive = np.ones(active.size, dtype=bool)
-        for c_step in range(width):
-            rows = np.flatnonzero(alive)
-            if rows.size == 0:
-                break
-            va[rows] = va[rows] * decay + scale * z[rows, :, c_step]
-            k_now = 0.5 * m * np.sum(va[rows] ** 2, axis=1)
-            hit = np.flatnonzero(k_now <= level + band)
-            if hit.size:
-                hit_time[active[rows[hit]]] = (step + c_step + 1) * cfg.dt
-                alive[rows[hit]] = False
-        v[active] = va
-        active = active[alive]
-        step += width
-
-    return _hitting_stats(level, band, n, hit_time)
+    # every spacing is dt itself: np.diff of the grid would round differently
+    hit_step = _oracle_velocities(delta, m, gamma, sigma, v0s, np.full(cfg.n_steps, cfg.dt),
+                                  cfg.n_paths, cfg.seed, level=level + band)
+    hit_time = np.where(hit_step >= 0, cfg.times()[hit_step], np.nan)
+    return _hitting_stats(level, band, cfg.n_paths, hit_time)
 
 
 def besq_time_change(t: float, m: float, gamma: float, sigma: float) -> float:

@@ -412,15 +412,16 @@ def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, paylo
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("g, tag, scheme", [
-    ("0.5 + abs(x)", "hk", "euler"),  # no symbolic dg/dx: g is differenced at NaN states
-    ("1", "ito", "left"),  # the terminals are +inf
-], ids=["nan-states", "inf-terminals"])
-def test_diverging_paths_exit_3_with_one_message(tmp_path, capsys, g, tag, scheme):
+@pytest.mark.parametrize("g, tag, scheme, n_paths", [
+    ("0.5 + abs(x)", "hk", "euler", 100),  # no symbolic dg/dx: g is differenced at NaN states
+    ("1", "ito", "left", 100),  # the terminals are +inf
+    ("0.5 + abs(x)", "hk", "euler", 1),  # one path is recorded: its values diverge
+], ids=["nan-states", "inf-terminals", "one-path"])
+def test_diverging_paths_exit_3_with_one_message(tmp_path, capsys, g, tag, scheme, n_paths):
     cfg = _write_config(tmp_path, {
         "model": {"custom": {"f": "x^3", "g": g, "interpretation": tag,
                              "domain": [None, None], "x0": 2.0}},
-        "run": {"dt": 0.01, "horizon": 2.0, "scheme": scheme},
+        "run": {"dt": 0.01, "horizon": 2.0, "scheme": scheme, "n_paths": n_paths},
         "outputs": {"dir": str(tmp_path / "out")},
     })
     assert main(["simulate", "--config", cfg]) == 3

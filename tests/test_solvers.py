@@ -230,19 +230,31 @@ def test_kinetic_oracle_delta2_minimum_stays_up():
 
 
 def test_kinetic_oracle_hitting_matches_scalar_oracle_paths():
-    cfg = McConfig(n_paths=4, dt=0.05, horizon=2.0, seed=SeedSpec(45, 3),
-                   record="terminal")
-    stats = kinetic_oracle_hitting(1, 1, 1, 1, [1.0], 0.0, 0.05, cfg)
-    grid = TimeGrid.uniform(0.0, 2.0, 40)
-    manual = []
-    for i in range(4):
-        k = exact_kinetic_oracle(1, 1, 1, 1, [1.0], grid, SeedSpec(45, 3 + i))
-        below = np.flatnonzero(k.values <= 0.05)
-        manual.append(grid.points[below[0]] if below.size else None)
-    hits = [t for t in manual if t is not None]
-    assert stats.n_hit == len(hits)
-    if hits:
-        assert stats.mean_hit_time == pytest.approx(float(np.mean(hits)), rel=1e-12)
+    for delta, v0s in ((1, [1.0]), (2, [0.3, 0.2])):
+        cfg = McConfig(n_paths=4, dt=0.05, horizon=2.0, seed=SeedSpec(45, 3),
+                       record="terminal")
+        stats = kinetic_oracle_hitting(delta, 1, 1, 1, v0s, 0.0, 0.05, cfg)
+        grid = TimeGrid.uniform(0.0, 2.0, 40)
+        manual = []
+        for i in range(4):
+            k = exact_kinetic_oracle(delta, 1, 1, 1, v0s, grid, SeedSpec(45, 3 + i))
+            below = np.flatnonzero(k.values <= 0.05)
+            manual.append(grid.points[below[0]] if below.size else None)
+        hits = [t for t in manual if t is not None]
+        assert stats.n_hit == len(hits)
+        if hits:
+            assert stats.mean_hit_time == pytest.approx(float(np.mean(hits)), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta, v0s", [(1, [0.7]), (2, [0.7, -0.4])])
+def test_kinetic_terminal_is_the_oracle_path_end(delta, v0s):
+    # one substream layout: terminal entry i is oracle path i over [0, T]
+    seed, horizon = SeedSpec(52, 5, (3, 1)), 0.9
+    terminal = exact_kinetic_terminal(delta, 1.5, 0.8, 1.2, v0s, horizon, 6, seed)
+    for i in range(6):
+        path = exact_kinetic_oracle(delta, 1.5, 0.8, 1.2, v0s, TimeGrid([0.0, horizon]),
+                                    seed.shifted(i))
+        assert terminal[i] == path.final_value
 
 
 def test_besq_time_change_values():
