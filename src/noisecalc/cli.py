@@ -102,9 +102,14 @@ def _interval(value, name: str) -> tuple[float, float]:
     raise ConfigError(f"{name} must be [a, b] with a < b, got {value!r}")
 
 
-def _grid(block: dict, where: str) -> tuple[tuple[float, float], int]:
-    """The ``interval`` and ``n_cells`` of a finite-volume grid block."""
+def _grid(block: dict, where: str, model: SdeModel) -> tuple[tuple[float, float], int]:
+    """The ``interval`` and ``n_cells`` of a finite-volume grid block; the
+    interval must lie in the model's closed domain."""
     interval = _interval(block.get("interval", [-3.0, 3.0]), f"{where}.interval")
+    lo, hi = model.domain
+    if not (lo <= interval[0] and interval[1] <= hi):
+        raise ConfigError(f"{where}.interval {list(interval)} leaves the model's "
+                          f"domain [{lo}, {hi}]")
     n_cells = _num(block.get("n_cells", 256), f"{where}.n_cells", int)
     if n_cells < 2:
         raise ConfigError(f"{where}.n_cells must be >= 2")
@@ -377,7 +382,7 @@ def _cmd_simulate(cfg: dict, args) -> str:
 def _cmd_stationary(cfg: dict, args) -> str:
     model, _, _ = _build_model(cfg)
     interval, n_cells = _grid(_block(cfg, "stationary", {"interval", "n_cells"},
-                                     "stationary"), "stationary")
+                                     "stationary"), "stationary", model)
     out = _out_dir(cfg, args)
     hk = _hk_form(model)
     dens = stationary_density(hk.f, hk.g, interval, n_cells)
@@ -391,7 +396,7 @@ def _cmd_fpe(cfg: dict, args) -> str:
     model, _, _ = _build_model(cfg)
     block = _block(cfg, "fpe", {"interval", "n_cells", "horizon", "initial",
                                 "snapshot_every"}, "fpe")
-    (a, b), n_cells = _grid(block, "fpe")
+    (a, b), n_cells = _grid(block, "fpe", model)
     horizon = _num(block.get("horizon", 10.0), "fpe.horizon")
     snap = _num(block.get("snapshot_every", 0.1), "fpe.snapshot_every")
     init = _block(block, "initial", {"kind", "x0", "center", "width"}, "fpe.initial")
@@ -431,6 +436,8 @@ def _cmd_experiment(cfg: dict, args) -> str:
     family = args.name
     if family not in FAMILIES:
         raise ConfigError(f"unknown experiment {family!r}; expected one of {FAMILIES}")
+    if "model" in cfg:  # the family and its studies' parameters are fixed
+        raise ConfigError("experiment takes no model block; the family is its argument")
     block = _block(cfg, "experiment", {"dt", "n_seeds", "horizon", "hitting"}, "experiment")
     dt = _num(block.get("dt", 1e-3), "experiment.dt")
     n_seeds = _num(block.get("n_seeds", 1000), "experiment.n_seeds", int)

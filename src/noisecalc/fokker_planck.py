@@ -18,13 +18,18 @@ Time evolution has two independent routes.
   every term and product is nonnegative and densities are nonnegative by
   construction.  Sources: Lie, Fackeldey & Weber, SIAM J. Matrix Anal.
   Appl. 34 (2013); Chang & Cooper, J. Comput. Phys. 6 (1970).
-* :func:`evolve_fpe` is the cross-check: a conservative finite-volume
-  update whose probability flux ``J = (f + g g') p - d(g^2 p / 2)/dx`` is
+* :func:`evolve_fpe` is the tests' cross-check, and no command runs it: a
+  plain explicit-Euler march of the conservative finite-volume update
+  whose probability flux ``J = (f + g g') p - d(g^2 p / 2)/dx`` is
   assembled at cell interfaces with minmod-limited upwind advection and
-  centered diffusion, with both boundary-face fluxes forced to zero, so
+  centered diffusion, with both boundary-face fluxes held at zero, so
   mass conservation and the zero-flux condition are structural rather
-  than approximate.  Explicit Euler stepping with ``dt`` at most the
-  recorded bound ``min(0.4 dx^2 / max g^2, 0.5 dx / max|f + g g'|)``.
+  than approximate.  ``dt`` is at most the bound
+  ``min(0.4 dx^2 / max g^2, 0.5 dx / max|f + g g'|)``.
+
+Both routes and :func:`stationary_density` reject a ``g`` that is not above
+1e-12 (NaN is not) on the interval.  ``g'`` is an analytic ``dgdx`` when
+given, else :func:`~noisecalc.sde.finite_diff_gprime`, in one place.
 """
 from __future__ import annotations
 
@@ -139,9 +144,6 @@ class GridDensity:
         self._check_same_grid(other)
         return float(np.sum(np.abs(self.values - other.values)) * self.dx)
 
-    def total_variation(self, other: "GridDensity") -> float:
-        return 0.5 * self.l1_distance(other)
-
     def _check_same_grid(self, other: "GridDensity") -> None:
         if (self.a, self.b, self.n_cells) != (other.a, other.b, other.n_cells):
             raise ValueError("densities live on different grids")
@@ -152,15 +154,26 @@ class GridDensity:
             fp.write(f"{float(x)!r},{float(v)!r}\n")
 
 
-def _sample_g_floor(g, a, b, n=512):
-    xs = np.linspace(a, b, n)
+def _check_g_floor(g, a, b, n_cells):
+    """Reject ``g`` unless it is above 1e-12 (NaN is not) at ``max(512,
+    2 n_cells)`` evenly spaced points of [a, b]."""
+    xs = np.linspace(a, b, max(512, 2 * n_cells))
     gv = np.asarray(g(xs, 0.0), dtype=float)
-    worst = int(np.argmin(gv))
-    return float(gv[worst]), float(xs[worst])
+    worst = int(np.argmin(gv))  # the first NaN, if there is one
+    if not gv[worst] > 1e-12:
+        raise ValueError(f"diffusion coefficient g not bounded away from 0 on [{a}, {b}]: "
+                         f"g({float(xs[worst])}) = {float(gv[worst])}")
+
+
+def _velocity(f, g, dgdx, xs, domain):
+    """``f + g g'`` at ``xs``; ``g'`` is ``dgdx`` or else finite differences on ``domain``."""
+    gp = (finite_diff_gprime(g, xs, 0.0, domain=domain).value
+          if dgdx is None else np.asarray(dgdx(xs, 0.0), dtype=float))
+    return np.asarray(f(xs, 0.0), dtype=float) + np.asarray(g(xs, 0.0), dtype=float) * gp
 
 
 def nonequilibrium_potential(
-    f: Callable, g: Callable, a: float, b: float, xs: np.ndarray,
+    f: Callable, g: Callable, a: float, xs: np.ndarray,
 ) -> np.ndarray:
     """Cumulative trapezoid of ``2 f / g^2`` from ``a`` to each of ``xs``.
 
@@ -179,22 +192,19 @@ def stationary_density(
     """Zero-flux stationary density ``exp(V)`` normalized on the interval.
 
     The potential is shifted by its maximum before exponentiation for
-    overflow safety.  ``g`` must be bounded away from zero on the interval;
-    values at or below 1e-12 anywhere sampled are rejected with the
-    location.
+    overflow safety.  ``g`` must be bounded away from zero on the interval:
+    a value at or below 1e-12, or NaN, at one of ``max(512, 2 n_cells)``
+    sampled points is rejected with its location.
     """
     a, b = interval
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
-    floor, where = _sample_g_floor(g, a, b, max(512, 2 * n_cells))
-    if floor <= 1e-12:
-        raise ValueError(f"diffusion coefficient not bounded away from 0: "
-                         f"g({where}) = {floor}")
+    _check_g_floor(g, a, b, n_cells)
     dx = (b - a) / n_cells
     centers = a + (np.arange(n_cells) + 0.5) * dx
-    v = nonequilibrium_potential(f, g, a, b, centers)
+    v = nonequilibrium_potential(f, g, a, centers)
     p = np.exp(v - v.max())
     return GridDensity(a, b, p / (p.sum() * dx))
 
@@ -205,8 +215,8 @@ class FpeProblem:
 
     ``dgdx`` is the optional analytic derivative of ``g``; without it the
     advection velocity uses :func:`~noisecalc.sde.finite_diff_gprime` on
-    the interval.  Construction checks (by sampling) that ``g`` stays above
-    a positive floor, which is recorded.
+    the interval.  Construction checks, by sampling as
+    :func:`stationary_density` does, that ``g`` stays above 1e-12.
     """
 
     f: Callable
@@ -214,16 +224,12 @@ class FpeProblem:
     interval: tuple[float, float]
     initial: GridDensity
     dgdx: Callable | None = None
-    g_floor: float = field(init=False)
 
     def __post_init__(self) -> None:
         a, b = self.interval
         if (self.initial.a, self.initial.b) != (a, b):
             raise ValueError("initial density must live on the problem interval")
-        floor, where = _sample_g_floor(self.g, a, b)
-        if floor <= 0:
-            raise ValueError(f"g must be positive on [{a}, {b}]; g({where}) = {floor}")
-        object.__setattr__(self, "g_floor", floor)
+        _check_g_floor(self.g, a, b, self.initial.n_cells)
 
     def stability_bound(self) -> float:
         """Recorded explicit-Euler bound: the smaller of the diffusive limit
@@ -239,10 +245,7 @@ class FpeProblem:
 
     def velocity(self, xs: np.ndarray) -> np.ndarray:
         """Advection field ``f + g g'`` of the conservation form."""
-        gp = (finite_diff_gprime(self.g, xs, 0.0, domain=self.interval).value
-              if self.dgdx is None else np.asarray(self.dgdx(xs, 0.0), dtype=float))
-        return (np.asarray(self.f(xs, 0.0), dtype=float)
-                + np.asarray(self.g(xs, 0.0), dtype=float) * gp)
+        return _velocity(self.f, self.g, self.dgdx, xs, self.interval)
 
 
 @dataclass(frozen=True)
@@ -271,15 +274,10 @@ def evolve_fpe(
     because the update telescopes interface fluxes with both boundary faces
     at zero.
 
-    Each step writes into buffers allocated once before the loop (two
-    ping-pong densities, slopes, face values, and a flux array whose end
-    faces stay zero); numeric constants are 0-d arrays, which numpy takes
-    faster than Python floats.  The minmod limiter is ``median(0, a, b)``
-    with the zero as the second operand of ``min``/``max``, the operand
-    numpy returns on ties, so a zero slope is ``+0.0``.
-    ``tests/test_fokker_planck.py`` keeps the plain step loop, with its
-    own temporaries, as the reference and checks that both agree bit for
-    bit.
+    The minmod limiter is ``median(0, a, b)`` with the zero as the second
+    operand of ``min``/``max``, the operand numpy returns on ties, so a zero
+    slope is ``+0.0``.  ``tests/test_fokker_planck.py`` keeps a reference
+    copy of the step loop and checks that both agree bit for bit.
     """
     bound = problem.stability_bound()
     if not dt > 0:
@@ -294,15 +292,12 @@ def evolve_fpe(
     a, b = problem.interval
     n = problem.initial.n_cells
     dx = problem.initial.dx
-    centers = problem.initial.centers
     interfaces = a + np.arange(1, n) * dx
-
-    g_c = np.asarray(problem.g(centers, 0.0), dtype=float)
-    diff_c = 0.5 * g_c**2
+    diff_c = 0.5 * np.asarray(problem.g(problem.initial.centers, 0.0), dtype=float) ** 2
     w_i = problem.velocity(interfaces)
     w_plus = w_i > 0
 
-    p = problem.initial.values.copy()
+    p = problem.initial.values
     n_steps = math.ceil(horizon / dt)
     if horizon / n_steps > dt:  # horizon / dt was rounded down onto an integer
         n_steps += 1
@@ -312,58 +307,26 @@ def evolve_fpe(
     snaps = [GridDensity(a, b, p)]
     mass0 = p.sum() * dx
 
-    zero, half_c, dx_c, dt_dx = (np.array(v) for v in (0.0, 0.5, dx, dt / dx))
-    # (density, left cells, right cells) of the two ping-pong buffers
-    cur = (p, p[:-1], p[1:])
-    spare = np.empty(n)
-    nxt = (spare, spare[:-1], spare[1:])
-    jumps = np.empty(n - 1)        # p[i+1] - p[i]
-    jumps_l, jumps_r = jumps[:-1], jumps[1:]
-    lo = np.empty(n - 2)
-    hi = np.empty(n - 2)
-    slopes = np.zeros(n)           # the two edge cells keep slope 0
-    inner = slopes[1:-1]
-    half = np.empty(n)
-    half_l, half_r = half[:-1], half[1:]
-    face = np.empty(n - 1)         # upwind face value, then advective flux
-    up = np.empty(n - 1)
-    q = np.empty(n)
-    q_l, q_r = q[:-1], q[1:]
-    dif = np.empty(n - 1)
-    flux = np.zeros(n + 1)         # zero-flux boundary faces stay 0
-    flux_in, flux_l, flux_r = flux[1:-1], flux[:-1], flux[1:]
-    change = np.empty(n)
+    slopes = np.zeros(n)  # the two edge cells keep slope 0
+    flux = np.zeros(n + 1)  # the two boundary faces keep flux 0
     for k in range(n_steps):
-        p, p_l, p_r = cur
-        np.subtract(p_r, p_l, out=jumps)
-        # minmod(a, b) = median(0, a, b) = clip(a, min(b, 0), max(b, 0))
-        np.minimum(jumps_r, zero, out=lo)
-        np.maximum(jumps_r, zero, out=hi)
-        np.maximum(jumps_l, lo, out=inner)
-        np.minimum(inner, hi, out=inner)
-        np.multiply(half_c, slopes, out=half)
-        np.subtract(p_r, half_r, out=face)
-        np.add(p_l, half_l, out=up)
-        np.copyto(face, up, where=w_plus)
-        np.multiply(w_i, face, out=face)
-        np.multiply(diff_c, p, out=q)
-        np.subtract(q_r, q_l, out=dif)
-        np.divide(dif, dx_c, out=dif)
-        np.subtract(face, dif, out=flux_in)
-        np.subtract(flux_r, flux_l, out=change)
-        np.multiply(dt_dx, change, out=change)
-        np.subtract(p, change, out=nxt[0])
-        cur, nxt = nxt, cur
+        jumps = p[1:] - p[:-1]
+        left, right = jumps[:-1], jumps[1:]
+        slopes[1:-1] = np.minimum(np.maximum(left, np.minimum(right, 0.0)),
+                                  np.maximum(right, 0.0))
+        half = 0.5 * slopes
+        face = np.where(w_plus, p[:-1] + half[:-1], p[1:] - half[1:])
+        q = diff_c * p
+        flux[1:-1] = w_i * face - (q[1:] - q[:-1]) / dx
+        p = p - (dt / dx) * (flux[1:] - flux[:-1])
         if snap_stride and (k + 1) % snap_stride == 0 and k + 1 < n_steps:
             times.append((k + 1) * dt)
-            snaps.append(GridDensity(a, b, cur[0]))
+            snaps.append(GridDensity(a, b, p))
 
-    p = cur[0]
-    mass_drift = abs(p.sum() * dx - mass0)
     final = GridDensity(a, b, p)
     times.append(horizon)
     snaps.append(final)
-    return FpeResult(final, tuple(times), tuple(snaps), float(mass_drift))
+    return FpeResult(final, tuple(times), tuple(snaps), float(abs(p.sum() * dx - mass0)))
 
 
 def _sqra_generator(problem: FpeProblem) -> np.ndarray:
@@ -377,7 +340,7 @@ def _sqra_generator(problem: FpeProblem) -> np.ndarray:
     n = problem.initial.n_cells
     dx = problem.initial.dx
     faces = a + np.arange(1, n) * dx
-    v = nonequilibrium_potential(problem.f, problem.g, a, b, problem.initial.centers)
+    v = nonequilibrium_potential(problem.f, problem.g, a, problem.initial.centers)
     d_face = 0.5 * np.asarray(problem.g(faces, 0.0), dtype=float) ** 2 / dx**2
     half = 0.5 * np.diff(v)
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -482,15 +445,12 @@ def probability_flux(p: GridDensity, f: Callable, g: Callable,
     """
     xs = p.centers
     dx = p.dx
-    gv = np.asarray(g(xs, 0.0), dtype=float)
-    gp = (finite_diff_gprime(g, xs, 0.0, domain=(p.a, p.b)).value
-          if dgdx is None else np.asarray(dgdx(xs, 0.0), dtype=float))
-    q = gv**2 * p.values
+    q = np.asarray(g(xs, 0.0), dtype=float) ** 2 * p.values
     dq = np.empty_like(q)
     dq[1:-1] = (q[2:] - q[:-2]) / (2 * dx)
     dq[0] = (-11 * q[0] + 18 * q[1] - 9 * q[2] + 2 * q[3]) / (6 * dx)
     dq[-1] = (11 * q[-1] - 18 * q[-2] + 9 * q[-3] - 2 * q[-4]) / (6 * dx)
-    return (np.asarray(f(xs, 0.0), dtype=float) + gv * gp) * p.values - 0.5 * dq
+    return _velocity(f, g, dgdx, xs, (p.a, p.b)) * p.values - 0.5 * dq
 
 
 def relative_entropy(p: GridDensity, q: GridDensity) -> float:
@@ -537,9 +497,6 @@ class FixedPointReport:
 
     def stable(self) -> list[float]:
         return [fp.x for fp in self.fixed_points if fp.stability is Stability.STABLE]
-
-    def unstable(self) -> list[float]:
-        return [fp.x for fp in self.fixed_points if fp.stability is Stability.UNSTABLE]
 
 
 def analyze_fixed_points(

@@ -556,10 +556,14 @@ def _summarize(model, scheme, cfg, raw, hitting=None) -> EnsembleSummary:
 def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> EnsembleResult:
     """Independent paths numbered ``stream + i`` of ``cfg.seed``.
 
-    Per-path errors become events, never abort the ensemble; the summary is
-    a pure function of ``(model, scheme, cfg)`` regardless of execution
-    interleaving.  A recorded path that diverges to a non-finite value
-    raises :class:`NumericError`: a :class:`SamplePath` cannot hold it.
+    Domain violations and reflections are events of their path and never
+    abort the ensemble; the summary is a pure function of
+    ``(model, scheme, cfg)`` regardless of execution interleaving.  A path
+    that diverges to a non-finite value is not an event: with
+    ``record="terminal"`` its terminal is non-finite (and so is the
+    summary's mean), and with ``record="path"`` the run raises
+    :class:`NumericError` naming the first such path, because a
+    :class:`SamplePath` cannot hold it.
     """
     times = cfg.times()
     raw = _run_engine(

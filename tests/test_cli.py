@@ -319,7 +319,8 @@ def test_experiment_explicit_zero_paths_exits_2(tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key", [("outputs", "format"), ("experiment", "params")])
+@pytest.mark.parametrize("section, key", [("outputs", "format"), ("experiment", "params"),
+                                          ("model", "params")])
 def test_removed_config_keys_exit_2(tmp_path, section, key):
     payload = {"outputs": {"dir": str(tmp_path / "out")}}
     payload.setdefault(section, {})[key] = {}
@@ -410,6 +411,25 @@ def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, paylo
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
     assert main([*argv, "--config", cfg]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+_SQRT_G = {"custom": {"f": "-x", "g": "sqrt(x)", "interpretation": "ito",
+                      "domain": [None, None], "x0": 0.5}}
+
+
+@pytest.mark.parametrize("command", ["stationary", "fpe"])
+@pytest.mark.parametrize("model, names", [
+    ({"family": "langevin1"}, "leaves the model's domain [0.0, inf]"),  # g = sqrt(2K) of K < 0
+    (_SQRT_G, "g(-1.0) = nan"),  # the domain allows [-1, 2], but g is NaN there
+], ids=["family-domain", "custom-nan-g"])
+def test_grid_outside_the_model_or_g_exits_2_with_one_message(tmp_path, capsys, command,
+                                                              model, names):
+    cfg = _write_config(tmp_path, {
+        "model": model, command: {"interval": [-1.0, 2.0], "n_cells": 32},
+        "outputs": {"dir": str(tmp_path / "out")}})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and names in err
 
 
 @pytest.mark.parametrize("g, tag, scheme, n_paths", [

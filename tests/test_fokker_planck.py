@@ -54,7 +54,7 @@ def test_double_well_potential_structure():
 
 def test_potential_is_cumulative_trapezoid_from_left_edge():
     xs = np.linspace(-1.0, 2.0, 7)[1:]
-    v = nonequilibrium_potential(NEG_X, SQRT2, -1.0, 2.0, xs)
+    v = nonequilibrium_potential(NEG_X, SQRT2, -1.0, xs)
     # integrand -x is linear: trapezoid is exact, V(x) = (1 - x^2)/2
     assert np.allclose(v, (1.0 - xs**2) / 2, atol=1e-14)
 
@@ -431,7 +431,7 @@ def test_propagator_reaches_the_stationary_density(case):
 
 def test_propagator_stays_nonnegative_on_a_stiff_potential():
     prob = _problem("stiff-ou", start=1.0)
-    v = nonequilibrium_potential(prob.f, prob.g, -3.0, 3.0, prob.initial.centers)
+    v = nonequilibrium_potential(prob.f, prob.g, -3.0, prob.initial.centers)
     assert np.ptp(v) > 700  # exp(V) spans more than the double range
     res = propagate_fpe(prob, 5.0, 0.1)
     for snap in res.snapshots:

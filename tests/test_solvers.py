@@ -9,6 +9,7 @@ from noisecalc.sde import Interpretation, SdeModel, to_ito
 from noisecalc.solvers import (
     EventKind,
     McConfig,
+    NumericError,
     Reflect,
     STOP_ON_VIOLATION,
     SolverScheme,
@@ -398,3 +399,22 @@ def test_scheme_for_mapping():
     assert scheme_for(Interpretation.STRATONOVICH) is SolverScheme.DIRECT_MIDPOINT_HEUN
     assert scheme_for(Interpretation.HAENGGI_KLIMONTOVICH) is \
         SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR
+
+
+def test_diverged_path_raises_only_when_recorded():
+    def cube(x, t):  # overflows to inf on purpose
+        with np.errstate(all="ignore"):
+            return np.asarray(x, dtype=float) ** 3
+
+    model = SdeModel(f=cube, g=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
+                     dgdx=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+                     interpretation=Interpretation.ITO, x0=0.9)
+
+    def cfg(record):
+        return McConfig(n_paths=20, dt=0.01, horizon=2.0, seed=SeedSpec(1), record=record)
+
+    res = simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg("terminal"))
+    assert np.isfinite(res.terminals).sum() == 3 and res.terminals.size == 20
+    assert math.isnan(res.summary.terminal_mean)
+    with pytest.raises(NumericError, match="path 0 diverged"):
+        simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg("path"))
