@@ -78,13 +78,15 @@ def _block(parent: dict, key: str, allowed: set[str], where: str) -> dict:
 
 
 def _num(value, name: str, kind=float):
-    """``kind(value)``; a value that is not a number names its key."""
-    if not isinstance(value, (bool, str)):  # bool is an int, and float() parses strings
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+    """``kind(value)`` of a finite number, which must be whole when ``kind``
+    is ``int``; any other value raises a ConfigError naming its key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # bool is an int
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int no float can hold
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return kind(value)
 
 
 def _text(value, name: str) -> str:
@@ -102,14 +104,18 @@ def _interval(value, name: str) -> tuple[float, float]:
     raise ConfigError(f"{name} must be [a, b] with a < b, got {value!r}")
 
 
+def _check_in_domain(interval: tuple[float, float], name: str, model: SdeModel) -> None:
+    """``interval`` must lie in the model's closed domain."""
+    lo, hi = model.domain
+    if not (lo <= interval[0] and interval[1] <= hi):
+        raise ConfigError(f"{name} {list(interval)} leaves the model's domain [{lo}, {hi}]")
+
+
 def _grid(block: dict, where: str, model: SdeModel) -> tuple[tuple[float, float], int]:
     """The ``interval`` and ``n_cells`` of a finite-volume grid block; the
     interval must lie in the model's closed domain."""
     interval = _interval(block.get("interval", [-3.0, 3.0]), f"{where}.interval")
-    lo, hi = model.domain
-    if not (lo <= interval[0] and interval[1] <= hi):
-        raise ConfigError(f"{where}.interval {list(interval)} leaves the model's "
-                          f"domain [{lo}, {hi}]")
+    _check_in_domain(interval, f"{where}.interval", model)
     n_cells = _num(block.get("n_cells", 256), f"{where}.n_cells", int)
     if n_cells < 2:
         raise ConfigError(f"{where}.n_cells must be >= 2")
@@ -159,7 +165,7 @@ def _seed_from(cfg: dict, override: int | None) -> SeedSpec:
                     _num(raw.get("stream", 0), "run.seed.stream", int))
 
 
-def _build_custom_model(block: dict) -> tuple[SdeModel, xp.Expr, xp.Expr]:
+def _build_custom_model(block: dict) -> SdeModel:
     f_expr = _parse_expr(_get(block, "f", required=True), "model.custom.f")
     g_expr = _parse_expr(_get(block, "g", required=True), "model.custom.g")
     interp = Interpretation.from_name(
@@ -174,11 +180,8 @@ def _build_custom_model(block: dict) -> tuple[SdeModel, xp.Expr, xp.Expr]:
         dg = xp.vector_fn(xp.derivative(g_expr))
     except xp.DerivativeUnsupportedError:
         dg = None
-    model = SdeModel(
-        f=xp.vector_fn(f_expr), g=xp.vector_fn(g_expr), dgdx=dg,
-        interpretation=interp, x0=x0, domain=(lo, hi), label="custom",
-    )
-    return model, f_expr, g_expr
+    return SdeModel(f=xp.vector_fn(f_expr), g=xp.vector_fn(g_expr), dgdx=dg,
+                    interpretation=interp, x0=x0, domain=(lo, hi))
 
 
 def _family_params(family: str, model: dict):
@@ -200,7 +203,7 @@ def _family_params(family: str, model: dict):
     return p
 
 
-def _build_model(cfg: dict):
+def _build_model(cfg: dict) -> SdeModel:
     block = cfg.get("model")
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'model' object")
@@ -215,7 +218,7 @@ def _build_model(cfg: dict):
     interp = Interpretation.from_name(
         _text(_get(block, "interpretation", "ito"), "model.interpretation"))
     trio = family_models(family, _family_params(family, block))
-    return trio.member(interp), None, None
+    return trio.member(interp)
 
 
 def _mc_config(cfg: dict, args) -> McConfig:
@@ -294,6 +297,8 @@ def _hk_form(model: SdeModel) -> SdeModel:
 
 
 def _cmd_integrate(cfg: dict, args) -> str:
+    if "model" in cfg:  # the integrand is integrate.phi
+        raise ConfigError("integrate takes no model block")
     block = _block(cfg, "integrate", {"phi", "rules", "t0", "t1", "base_steps", "levels"},
                    "integrate")
     phi_expr = _parse_expr(block.get("phi", "x"), "integrate.phi")
@@ -328,8 +333,8 @@ def _cmd_integrate(cfg: dict, args) -> str:
 
 
 def _cmd_convert(cfg: dict, args) -> str:
-    model, f_expr, g_expr = _build_model(cfg)
-    if f_expr is None:
+    model = _build_model(cfg)
+    if "custom" not in cfg["model"]:
         raise ConfigError("convert requires a custom model")
     xs = _block(cfg, "convert", {"xs"}, "convert").get("xs", [-2.0, 2.0, 101])
     if not (isinstance(xs, list) and len(xs) == 3):
@@ -337,6 +342,7 @@ def _cmd_convert(cfg: dict, args) -> str:
     (lo, hi), n = _interval(xs[:2], "convert.xs[0:2]"), _num(xs[2], "convert.xs[2]", int)
     if n < 1:
         raise ConfigError("convert.xs must be [lo, hi, n] with lo < hi and n >= 1")
+    _check_in_domain((lo, hi), "convert.xs[0:2]", model)
     xs = np.linspace(lo, hi, n)
     out = _out_dir(cfg, args)
 
@@ -354,7 +360,7 @@ def _cmd_convert(cfg: dict, args) -> str:
 
 
 def _cmd_simulate(cfg: dict, args) -> str:
-    model, _, _ = _build_model(cfg)
+    model = _build_model(cfg)
     mc = _mc_config(cfg, args)
     if mc.n_paths > 1:  # histories and events only shape path.csv, written for one path
         mc = replace(mc, record="terminal")
@@ -380,7 +386,7 @@ def _cmd_simulate(cfg: dict, args) -> str:
 
 
 def _cmd_stationary(cfg: dict, args) -> str:
-    model, _, _ = _build_model(cfg)
+    model = _build_model(cfg)
     interval, n_cells = _grid(_block(cfg, "stationary", {"interval", "n_cells"},
                                      "stationary"), "stationary", model)
     out = _out_dir(cfg, args)
@@ -393,7 +399,7 @@ def _cmd_stationary(cfg: dict, args) -> str:
 
 
 def _cmd_fpe(cfg: dict, args) -> str:
-    model, _, _ = _build_model(cfg)
+    model = _build_model(cfg)
     block = _block(cfg, "fpe", {"interval", "n_cells", "horizon", "initial",
                                 "snapshot_every"}, "fpe")
     (a, b), n_cells = _grid(block, "fpe", model)

@@ -13,6 +13,12 @@ decimal with an optional exponent.  There is no implicit multiplication:
 ``2x`` is a syntax error.  Unary minus binds looser than ``^``, so
 ``-x^2`` reads as ``-(x^2)``; exponentiation is right-associative, so
 ``x^3^2 == x^9``.
+
+The tree is walked in one place, :func:`_compile`, into numpy closures.
+:func:`vector_fn` runs them on arrays, where a domain violation becomes NaN
+or inf; :func:`evaluate` runs them on one point and raises on any
+floating-point fault but underflow: division by zero, a log or sqrt outside
+its domain, an invalid power, and an overflow anywhere, ``+ - *`` included.
 """
 from __future__ import annotations
 
@@ -37,10 +43,6 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh", "abs")
 VARIABLES = ("x", "t")
 
-_MATH_FN = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "tanh": math.tanh, "abs": abs,
-}
 _NUMPY_FN = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
     "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs,
@@ -76,30 +78,30 @@ class Node:
 
 @dataclass(frozen=True)
 class Num(Node):
-    value: float = 0.0
+    value: float
 
 
 @dataclass(frozen=True)
 class Var(Node):
-    name: str = "x"
+    name: str
 
 
 @dataclass(frozen=True)
 class Neg(Node):
-    arg: Node = None
+    arg: Node
 
 
 @dataclass(frozen=True)
 class Bin(Node):
-    op: str = "+"
-    left: Node = None
-    right: Node = None
+    op: str
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
 class Call(Node):
-    fn: str = "sin"
-    arg: Node = None
+    fn: str
+    arg: Node
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,6 @@ class Expr:
     """A parsed expression; free variables are a subset of {x, t}."""
 
     root: Node
-    source: str
-
-    def __call__(self, x: float, t: float = 0.0) -> float:
-        return evaluate(self, x, t)
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -251,49 +249,10 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse UTF-8 text into an expression tree."""
-    return Expr(_Parser(source).parse(), source)
+    return Expr(_Parser(source).parse())
 
 
 # --- evaluation ------------------------------------------------------------
-
-
-def _eval_node(node: Node, x: float, t: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else t
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, x, t)
-    if isinstance(node, Bin):
-        a = _eval_node(node.left, x, t)
-        b = _eval_node(node.right, x, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise ExprEvalError("division by zero", node.pos, x, t)
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(f"invalid power {a}^{b}: {exc}", node.pos, x, t) from None
-    if isinstance(node, Call):
-        v = _eval_node(node.arg, x, t)
-        try:
-            return float(_MATH_FN[node.fn](v))
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(f"{node.fn}({v}) undefined: {exc}", node.pos, x, t) from None
-    raise TypeError(f"unknown node {node!r}")
-
-
-def evaluate(e: Expr, x: float, t: float = 0.0) -> float:
-    """Evaluate with standard real semantics; domain errors raise
-    :class:`ExprEvalError` carrying the offending (x, t)."""
-    return _eval_node(e.root, float(x), float(t))
 
 
 _UFUNC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
@@ -335,6 +294,18 @@ def vector_fn(e: Expr) -> Callable:
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
         return out
     return fn
+
+
+def evaluate(e: Expr, x: float, t: float = 0.0) -> float:
+    """Strict scalar evaluation: the closures of :func:`vector_fn` on one
+    float64 point, where every floating-point fault but underflow raises
+    :class:`ExprEvalError` with the (x, t) inputs and the root's position."""
+    x, t = float(x), float(t)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return float(_compile(e.root)(np.float64(x), np.float64(t)))
+    except FloatingPointError as exc:
+        raise ExprEvalError(str(exc), e.root.pos, x, t) from None
 
 
 # --- printing --------------------------------------------------------------
@@ -436,16 +407,16 @@ def _pow(a: Node, b: Node) -> Node:
     return Bin(0, "^", a, b)
 
 
-def _diff(node: Node, var: str) -> Node:
+def _diff(node: Node) -> Node:
     if isinstance(node, Num):
         return _num(0.0)
     if isinstance(node, Var):
-        return _num(1.0 if node.name == var else 0.0)
+        return _num(1.0 if node.name == "x" else 0.0)
     if isinstance(node, Neg):
-        return Neg(node.pos, _diff(node.arg, var))
+        return Neg(node.pos, _diff(node.arg))
     if isinstance(node, Bin):
         u, v = node.left, node.right
-        du, dv = _diff(u, var), _diff(v, var)
+        du, dv = _diff(u), _diff(v)
         if node.op == "+":
             return _add(du, dv)
         if node.op == "-":
@@ -463,7 +434,7 @@ def _diff(node: Node, var: str) -> Node:
         return _mul(node, _add(_mul(dv, Call(0, "log", u)), _div(_mul(v, du), u)))
     if isinstance(node, Call):
         u = node.arg
-        du = _diff(u, var)
+        du = _diff(u)
         if node.fn == "abs":
             raise DerivativeUnsupportedError(
                 "abs is not differentiable; fall back to finite differences"
@@ -486,14 +457,10 @@ def _diff(node: Node, var: str) -> Node:
     raise TypeError(f"unknown node {node!r}")
 
 
-def derivative(e: Expr, var: str = "x") -> Expr:
-    """Symbolic derivative with constant folding, nothing fancier.
+def derivative(e: Expr) -> Expr:
+    """Symbolic derivative in ``x`` with constant folding, nothing fancier.
 
     ``abs`` in the tree raises :class:`DerivativeUnsupportedError`; callers
     should fall back to finite differences.
     """
-    if var not in VARIABLES:
-        raise ValueError(f"can only differentiate in {VARIABLES}, got {var!r}")
-    root = _diff(e.root, var)
-    text = _print_node(root, 0)
-    return Expr(root, text)
+    return Expr(_diff(e.root))

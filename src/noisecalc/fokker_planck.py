@@ -503,18 +503,17 @@ def analyze_fixed_points(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
     interval: tuple[float, float],
-    n_scan: int = 1024,
 ) -> FixedPointReport:
     """Zeros of ``f`` on the interval, classified by the sign of ``f'``.
 
-    Sign changes found on an ``n_scan``-point scan are bisected to 1e-10;
+    Sign changes found on a 1024-point scan are bisected to 1e-10;
     ``|f'| < 1e-8`` at a root marks it degenerate (excluded from matching).
     """
     a, b = interval
-    xs = np.linspace(a, b, n_scan)
+    xs = np.linspace(a, b, 1024)
     fv = np.array([float(f(x)) for x in xs])
     roots: list[float] = []
-    for i in range(n_scan - 1):
+    for i in range(xs.size - 1):
         if fv[i] == 0.0:
             roots.append(float(xs[i]))
             continue

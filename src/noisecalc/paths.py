@@ -122,8 +122,8 @@ class PathNoise:
         return tiles.reshape(-1), where * (width * BLOCK) + self._col[ids]
 
 
-def _frozen_array(values, dtype=np.float64, ndim: int = 1) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndim: int = 1) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -176,9 +176,9 @@ class TimeGrid:
         return self.points.size
 
 
-def _check_same_grid(a, b, what: str = "paths") -> None:
+def _check_same_grid(a, b) -> None:
     if not a.grid.same_as(b.grid):
-        raise ValueError(f"{what} must share one time grid")
+        raise ValueError("paths must share one time grid")
 
 
 @dataclass(frozen=True, eq=False)

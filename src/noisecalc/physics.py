@@ -132,10 +132,10 @@ class InterpretationTriple:
         }[interpretation]
 
 
-def _kinetic_family(params: LangevinParams, delta: int, x0: float,
-                    label: str) -> InterpretationTriple:
+def _kinetic_family(params: LangevinParams, delta: int, x0: float) -> InterpretationTriple:
     """The kinetic family of the module docstring: each member's drift
-    constant is read from the rule offset of its tag."""
+    constant is read from the rule offset of its tag.  The square-root
+    diffusion is not Lipschitz at the origin."""
     m, gamma, sigma = params.m, params.gamma, params.sigma
     c = 2.0 * sigma**2 / m
     relax = 2.0 * gamma / m
@@ -147,23 +147,20 @@ def _kinetic_family(params: LangevinParams, delta: int, x0: float,
         # g g' = sigma^2/m identically; g' alone diverges at the origin
         return 0.5 * c / np.sqrt(c * x)
 
-    def member(tag, short):
+    def member(tag):
         # a vanishing constant is -0.0, so that `inject - relax K` is
         # `-relax K` bit for bit, down to the sign of the zero at K = 0
         inject = (delta - 2 * tag.ito_drift_offset) * sigma**2 / (2.0 * m) or -0.0
         return SdeModel(f=lambda x, t: inject - relax * x, g=g, dgdx=dgdx,
-                        interpretation=tag, x0=x0, domain=(0.0, math.inf),
-                        label=f"{label}-{short}",
-                        assumptions="sqrt diffusion: Lipschitz fails at the origin")
+                        interpretation=tag, x0=x0, domain=(0.0, math.inf))
 
-    return InterpretationTriple(*(
-        member(tag, short) for tag, short in zip(Interpretation, ("ito", "strat", "hk"))))
+    return InterpretationTriple(*map(member, Interpretation))
 
 
 def kinetic_models(params: LangevinParams) -> InterpretationTriple:
     """Kinetic energy of one Langevin particle, ``K = m v^2 / 2``: the
     kinetic family at delta = 1."""
-    return _kinetic_family(params, 1, 0.5 * params.m * params.v0**2, "kinetic")
+    return _kinetic_family(params, 1, 0.5 * params.m * params.v0**2)
 
 
 def two_particle_models(params: LangevinParams) -> InterpretationTriple:
@@ -172,8 +169,7 @@ def two_particle_models(params: LangevinParams) -> InterpretationTriple:
     vanish at zero: an absorbing state."""
     if params.u0 is None:
         raise ValueError("two-particle family needs u0")
-    return _kinetic_family(params, 2, 0.5 * params.m * (params.u0**2 + params.v0**2),
-                           "kinetic2")
+    return _kinetic_family(params, 2, 0.5 * params.m * (params.u0**2 + params.v0**2))
 
 
 def relativistic_models(params: RelativisticParams) -> InterpretationTriple:
@@ -181,7 +177,8 @@ def relativistic_models(params: RelativisticParams) -> InterpretationTriple:
 
     The three drift displays are implemented as given (they agree under
     conversion when the noise amplitude is constant); the shared diffusion
-    is ``sqrt(2 D(E) (1 - (M/E)^2))``, vanishing at the rest energy.
+    is ``sqrt(2 D(E) (1 - (M/E)^2))``, vanishing at the rest energy, where
+    it is not Lipschitz.
     """
     M = params.M
     alpha, d_hat = params.alpha_hat, params.d_hat
@@ -217,17 +214,9 @@ def relativistic_models(params: RelativisticParams) -> InterpretationTriple:
                  - np.asarray(alpha(x), dtype=float) * x) * bracket(x)
                 - np.asarray(d_hat(x), dtype=float) / x * (M / x) ** 2)
 
-    x0 = params.e0
-    kwargs = dict(g=g, dgdx=dgdx, x0=x0, domain=(M, math.inf),
-                  assumptions="diffusion vanishes at the rest energy")
-    return InterpretationTriple(
-        ito=SdeModel(f=f_ito, interpretation=Interpretation.ITO,
-                     label="relativistic-ito", **kwargs),
-        stratonovich=SdeModel(f=f_strat, interpretation=Interpretation.STRATONOVICH,
-                              label="relativistic-strat", **kwargs),
-        hk=SdeModel(f=f_hk, interpretation=Interpretation.HAENGGI_KLIMONTOVICH,
-                    label="relativistic-hk", **kwargs),
-    )
+    return InterpretationTriple(*(
+        SdeModel(f=f, g=g, dgdx=dgdx, interpretation=tag, x0=params.e0, domain=(M, math.inf))
+        for f, tag in zip((f_ito, f_strat, f_hk), Interpretation)))
 
 
 def family_models(name: str, params=None) -> InterpretationTriple:

@@ -13,9 +13,9 @@ point, a central stencil wherever ``x +- h`` stays in the closed domain, a
 one-sided one where it would leave it, and a ``one_sided`` flag on those
 points.  Models, the forward equation and the relativistic family all use it.
 
-Lipschitz / linear-growth hypotheses are not runtime-verified (the kinetic
-case studies deliberately violate them at the boundary); models carry a
-free-text ``assumptions`` note instead.
+Lipschitz / linear-growth hypotheses are not runtime-verified: the kinetic
+case studies deliberately violate them at the boundary, and the factories of
+:mod:`noisecalc.physics` say where in their docstrings.
 """
 from __future__ import annotations
 
@@ -161,8 +161,6 @@ class SdeModel:
     x0: float
     domain: tuple[float, float] = (-math.inf, math.inf)
     dgdx: CoefficientFn | None = None
-    assumptions: str = ""
-    label: str = ""
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -200,7 +198,6 @@ def to_ito(model: SdeModel) -> SdeModel:
         model,
         f=_with_offset(model, offset),
         interpretation=Interpretation.ITO,
-        label=f"{model.label}->ito" if model.label else "",
     )
 
 
@@ -220,5 +217,4 @@ def from_ito(model: SdeModel, target: Interpretation) -> SdeModel:
         model,
         f=_with_offset(model, -target.ito_drift_offset),
         interpretation=target,
-        label=f"{model.label}->{target.value}" if model.label else "",
     )

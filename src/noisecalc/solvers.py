@@ -15,6 +15,8 @@ One engine steps every scheme over one of two noise sources: keyed block
 streams for a seeded run, or a given ``(n_paths, n_steps)`` increment matrix
 (the bridge-refined drivers of :func:`strong_convergence_order` and of the
 model-driven convergence tables in :mod:`noisecalc.integrals`).
+:func:`strong_convergence_order` measures each level against the same
+scheme on a 16 times finer refinement of the same drivers.
 
 Domain handling, for both sources: a state or evaluation point outside the
 closed domain by more than 1e-12 is a DomainViolation (stop, or
@@ -48,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -229,10 +231,9 @@ class EnsembleSummary:
     violations: int
     reflections: int
     histogram: tuple[np.ndarray, np.ndarray]  # (bin_edges, densities)
-    hitting: HittingStats | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "n_paths": self.n_paths,
             "dt": self.dt,
             "horizon": self.horizon,
@@ -242,9 +243,6 @@ class EnsembleSummary:
             "terminal_var": self.terminal_var,
             "events": {"violations": self.violations, "reflections": self.reflections},
         }
-        if self.hitting is not None:
-            out["hitting"] = self.hitting.to_json_dict()
-        return out
 
 
 @dataclass(frozen=True)
@@ -526,7 +524,7 @@ def simulate_path(
     return _path_result(raw, grid.points, 0)
 
 
-def _summarize(model, scheme, cfg, raw, hitting=None) -> EnsembleSummary:
+def _summarize(model, scheme, cfg, raw) -> EnsembleSummary:
     terminal = raw.terminal[raw.completed]
     mean, var = math.nan, math.nan
     hist, edges = np.array([]), np.array([])
@@ -549,7 +547,6 @@ def _summarize(model, scheme, cfg, raw, hitting=None) -> EnsembleSummary:
         violations=int(raw.violations.sum()),
         reflections=int(raw.reflections.sum()),
         histogram=(edges, hist),
-        hitting=hitting,
     )
 
 
@@ -788,16 +785,13 @@ def strong_convergence_order(
     scheme: SolverScheme,
     dts: Sequence[float],
     cfg: McConfig,
-    reference: str | Callable[[SamplePath], float] = "finest",
-    ref_factor: int = 16,
 ) -> float:
     """Least-squares slope of log strong error at the horizon vs log dt.
 
     ``dts`` must be strictly decreasing with dyadic ratios.  The driving
     noise is shared across resolutions by bridge refinement of one coarse
-    path per ensemble member; the reference is either the same scheme on a
-    ``ref_factor`` times finer grid, or a caller-supplied oracle mapping
-    the finest driver path to an exact terminal value.
+    path per ensemble member; the reference is the same scheme on a grid
+    16 times finer than the finest level.
     """
     dts = list(dts)
     if len(dts) < 3:
@@ -809,14 +803,12 @@ def strong_convergence_order(
         r = round(ratio)
         if abs(ratio - r) > 1e-9 or r < 2 or (r & (r - 1)):
             raise ValueError("dts must refine dyadically")
-    if ref_factor < 2 or ref_factor & (ref_factor - 1):
-        raise ValueError("ref_factor must be a power of two >= 2")
 
     T = cfg.horizon
     n_levels = [round(T / dt) for dt in dts]
     if abs(T / n_levels[0] - dts[0]) > 1e-12 * max(1.0, T):
         raise ValueError("horizon must be an integer multiple of the coarsest dt")
-    n_ref = n_levels[-1] * ref_factor
+    n_ref = n_levels[-1] * 16
 
     n_paths = cfg.n_paths
 
@@ -837,14 +829,7 @@ def strong_convergence_order(
             n *= 2
 
     ref_incs = np.vstack(ladders[n_ref])
-    if reference == "finest":
-        x_ref = _run_engine(model, scheme, times_of[n_ref], n_paths, ref_incs, None).terminal
-    else:
-        grid_ref = TimeGrid(times_of[n_ref])
-        x_ref = np.array([
-            reference(SamplePath(grid_ref, np.concatenate([[0.0], np.cumsum(inc)])))
-            for inc in ref_incs
-        ])
+    x_ref = _run_engine(model, scheme, times_of[n_ref], n_paths, ref_incs, None).terminal
 
     errs = []
     for n in n_levels:

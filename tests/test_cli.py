@@ -406,11 +406,46 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
                  id="simulate-unknown-interpretation"),
     pytest.param(["simulate"], {"model": {"family": "relativistic", "params": {"M": 0}}},
                  id="simulate-relativistic-zero-mass"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"n_cells": 10.5}},
+                 id="stationary-fractional-n_cells"),
+    pytest.param(["convert"], {"model": _OU, "convert": {"xs": [-2.0, 2.0, 2.5]}},
+                 id="convert-fractional-count"),
+    pytest.param(["simulate"], {"model": {"family": "langevin1",
+                                          "params": {"v0": math.inf}}},
+                 id="simulate-infinite-v0"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"interval": [-math.inf, 1.0]}},
+                 id="stationary-infinite-interval"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {
+        "n_cells": 16, "horizon": 0.1, "initial": {"kind": "gaussian", "center": math.nan}}},
+                 id="fpe-gaussian-nan-center"),
+    pytest.param(["convert"], {"model": {"custom": {
+        "f": "-x", "g": "sqrt(x)", "interpretation": "stratonovich", "domain": [0.0, None],
+        "x0": 1.0}}, "convert": {"xs": [-2.0, 2.0, 5]}},
+                 id="convert-xs-outside-the-domain"),
+    pytest.param(["integrate"], {"model": {"family": "langevin1", "params": {"m": 5}},
+                                 "integrate": {"base_steps": 8, "levels": 1}},
+                 id="integrate-with-a-model-block"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
     assert main([*argv, "--config", cfg]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, payload, names", [
+    (["fpe"], {"model": _OU, "fpe": {"initial": {"kind": "gaussian", "center": math.nan}}},
+     "fpe.initial.center must be a finite number"),
+    (["stationary"], {"model": _OU, "stationary": {"n_cells": 10.5}},
+     "stationary.n_cells must be a whole number"),
+    (["convert"], {"model": {"custom": {**_OU["custom"], "domain": [0.0, None], "x0": 1.0}},
+                   "convert": {"xs": [-2.0, 2.0, 5]}},
+     "convert.xs[0:2] [-2.0, 2.0] leaves the model's domain [0.0, inf]"),
+], ids=["nan", "fraction", "convert-domain"])
+def test_config_number_errors_name_their_key(tmp_path, capsys, argv, payload, names):
+    cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
+    assert main([*argv, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and names in err
 
 
 _SQRT_G = {"custom": {"f": "-x", "g": "sqrt(x)", "interpretation": "ito",

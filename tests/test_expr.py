@@ -88,6 +88,13 @@ def test_eval_errors_carry_inputs():
         xp.evaluate(xp.parse("sqrt(x)"), -2.0)
     with pytest.raises(xp.ExprEvalError):
         xp.evaluate(xp.parse("log(x)"), 0.0)
+    # exp(-1/x^2) at 0 can fail only at the division: exp(-inf) is 0.
+    # x*x at 1e200 overflows in a product, which raises like exp's overflow.
+    for src, x in [("exp(x)", 1000.0), ("x^0.5", -1.0), ("0^x", -1.0),
+                   ("exp(-1/x^2)", 0.0), ("x*x", 1e200)]:
+        with pytest.raises(xp.ExprEvalError) as err:
+            xp.evaluate(xp.parse(src), x)
+        assert err.value.x == x
 
 
 def test_eval_purity():
