@@ -28,7 +28,6 @@ from .solvers import (
     McConfig,
     simulate_path,
     simulate_ensemble,
-    simulate_reflected,
     hitting_time,
     exact_ou_path,
     exact_kinetic_oracle,

@@ -2,7 +2,8 @@
 
 Commands: ``integrate``, ``convert``, ``simulate``, ``stationary``,
 ``fpe``, and ``experiment <family>``.  Configuration is a single JSON file
-(strictly validated: unknown keys are rejected).  Every command takes
+(strictly validated: unknown keys are rejected in every block, whichever
+command runs).  Every command takes
 ``--seed`` and ``--out``; ``convert``, ``stationary`` and ``fpe`` draw no
 random numbers and ignore the seed.  ``simulate`` also takes ``--paths``
 and ``--dt`` (overriding ``run.n_paths`` and ``run.dt``), ``experiment``
@@ -62,19 +63,39 @@ class ConfigError(ValueError):
     """Invalid configuration: exit code 2, like every ``ValueError``."""
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+# The keys of each config block, by its dotted path.
+_KEYS = {
+    "run": {"n_paths", "dt", "horizon", "seed", "boundary", "scheme", "record",
+            "record_stride"},
+    "run.seed": {"master", "stream"},
+    "run.boundary": {"reflect"},
+    "outputs": {"dir"},
+    "integrate": {"phi", "rules", "t0", "t1", "base_steps", "levels"},
+    "convert": {"xs"},
+    "stationary": {"interval", "n_cells"},
+    "fpe": {"interval", "n_cells", "horizon", "initial", "snapshot_every"},
+    "fpe.initial": {"kind", "x0", "center", "width"},
+    "experiment": {"dt", "n_seeds", "horizon", "hitting"},
+    "experiment.hitting": {"band", "n_paths", "dt", "horizon"},
+}
+
+
+def _object(block, where: str, allowed: set[str]) -> dict:
+    """``block``, which must be a JSON object with keys in ``allowed``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _block(parent: dict, key: str, allowed: set[str], where: str) -> dict:
-    """The object ``parent[key]`` (``{}`` when absent), keys checked."""
-    block = parent.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
-    _check_keys(block, allowed, where)
     return block
+
+
+def _block(cfg: dict, where: str) -> dict:
+    """The config block at the dotted path ``where`` (``{}`` when absent),
+    its keys and those of its parent checked against ``_KEYS``."""
+    outer, _, key = where.rpartition(".")
+    parent = _block(cfg, outer) if outer else cfg
+    return _object(parent.get(key, {}), where, _KEYS[where])
 
 
 def _num(value, name: str, kind=float):
@@ -136,10 +157,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, {"model", "run", "outputs", "integrate", "convert",
-                      "stationary", "fpe", "experiment"}, "config root")
+    _object(cfg, "config root", {"model", *(w for w in _KEYS if "." not in w)})
+    # every block, whichever command runs; run.seed may also be a whole number
+    # and run.boundary a policy name, read by the commands that take them
+    for where in _KEYS:
+        outer, _, key = where.rpartition(".")
+        if outer != "run" or isinstance(_block(cfg, "run").get(key), dict):
+            _block(cfg, where)
     return cfg
 
 
@@ -150,16 +174,12 @@ def _parse_expr(src: str, what: str) -> xp.Expr:
         raise ConfigError(f"cannot parse {what}: {exc}") from None
 
 
-_RUN_KEYS = {"n_paths", "dt", "horizon", "seed", "boundary", "scheme", "record",
-             "record_stride"}
-
-
 def _seed_from(cfg: dict, override: int | None) -> SeedSpec:
-    run = _block(cfg, "run", _RUN_KEYS, "run")
+    run = _block(cfg, "run")
     if isinstance(run.get("seed"), int):
         raw = {"master": run["seed"]}
     else:
-        raw = _block(run, "seed", {"master", "stream"}, "run.seed")
+        raw = _block(cfg, "run.seed")
     master = raw.get("master", 0) if override is None else override
     return SeedSpec(_num(master, "run.seed.master", int),
                     _num(raw.get("stream", 0), "run.seed.stream", int))
@@ -185,21 +205,17 @@ def _build_custom_model(block: dict) -> SdeModel:
 
 
 def _family_params(family: str, model: dict):
+    """The family's parameters, built from the given keys only; ``u0: null``
+    is no second velocity, which langevin2 takes to be ``v0``."""
     if family == "relativistic":
-        params = _block(model, "params", {"M", "p0"}, "model.params")
-        return RelativisticParams(M=_num(params.get("M", 1.0), "model.params.M"),
-                                  p0=_num(params.get("p0", 0.0), "model.params.p0"))
-    params = _block(model, "params", {"m", "gamma", "sigma", "v0", "u0"}, "model.params")
-    u0 = params.get("u0")
-    p = LangevinParams(
-        m=_num(params.get("m", 1.0), "model.params.m"),
-        gamma=_num(params.get("gamma", 1.0), "model.params.gamma"),
-        sigma=_num(params.get("sigma", 1.0), "model.params.sigma"),
-        v0=_num(params.get("v0", 1.0), "model.params.v0"),
-        u0=None if u0 is None else _num(u0, "model.params.u0"),
-    )
+        cls, keys = RelativisticParams, {"M", "p0"}
+    else:
+        cls, keys = LangevinParams, {"m", "gamma", "sigma", "v0", "u0"}
+    params = _object(model.get("params", {}), "model.params", keys)
+    p = cls(**{key: _num(value, f"model.params.{key}") for key, value in params.items()
+               if not (key == "u0" and value is None)})
     if family == "langevin2" and p.u0 is None:
-        p = LangevinParams(m=p.m, gamma=p.gamma, sigma=p.sigma, v0=p.v0, u0=p.v0)
+        p = replace(p, u0=p.v0)
     return p
 
 
@@ -208,10 +224,10 @@ def _build_model(cfg: dict) -> SdeModel:
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'model' object")
     if "custom" in block:
-        _check_keys(block, {"custom"}, "model")
-        return _build_custom_model(_block(
-            block, "custom", {"f", "g", "interpretation", "domain", "x0"}, "model.custom"))
-    _check_keys(block, {"family", "interpretation", "params"}, "model")
+        _object(block, "model", {"custom"})
+        return _build_custom_model(_object(
+            block["custom"], "model.custom", {"f", "g", "interpretation", "domain", "x0"}))
+    _object(block, "model", {"family", "interpretation", "params"})
     family = _get(block, "family", required=True)
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -222,20 +238,22 @@ def _build_model(cfg: dict) -> SdeModel:
 
 
 def _mc_config(cfg: dict, args) -> McConfig:
-    run = _block(cfg, "run", _RUN_KEYS, "run")
+    run = _block(cfg, "run")
     boundary = run.get("boundary")
     if isinstance(boundary, dict):
-        boundary = _reflect_from(boundary)
+        boundary = _reflect_from(_block(cfg, "run.boundary"))
     elif boundary in ("stop", STOP_ON_VIOLATION):
         boundary = STOP_ON_VIOLATION
     elif boundary not in (None, "none"):
         raise ConfigError(f"unknown boundary {boundary!r}")
     elif boundary == "none":
         boundary = None
+    # the config's numbers are checked also when a flag replaces them
+    n_paths = _num(run.get("n_paths", 100), "run.n_paths", int)
+    dt = _num(run.get("dt", 1e-3), "run.dt")
     return McConfig(
-        n_paths=_num(run.get("n_paths", 100) if args.paths is None else args.paths,
-                     "run.n_paths", int),
-        dt=_num(run.get("dt", 1e-3) if args.dt is None else args.dt, "run.dt"),
+        n_paths=n_paths if args.paths is None else args.paths,
+        dt=dt if args.dt is None else _num(args.dt, "--dt"),
         horizon=_num(run.get("horizon", 1.0), "run.horizon"),
         seed=_seed_from(cfg, args.seed),
         boundary=boundary,
@@ -245,7 +263,6 @@ def _mc_config(cfg: dict, args) -> McConfig:
 
 
 def _reflect_from(block: dict) -> Reflect:
-    _check_keys(block, {"reflect"}, "run.boundary")
     try:
         lo, hi = block["reflect"]
         return Reflect(_num(lo, "run.boundary.reflect[0]"),
@@ -256,7 +273,7 @@ def _reflect_from(block: dict) -> Reflect:
 
 
 def _scheme_from(cfg: dict) -> SolverScheme:
-    name = _block(cfg, "run", _RUN_KEYS, "run").get("scheme", "euler_maruyama_ito_form")
+    name = _block(cfg, "run").get("scheme", "euler_maruyama_ito_form")
     aliases = {
         "euler_maruyama_ito_form": SolverScheme.EULER_MARUYAMA_ITO_FORM,
         "euler": SolverScheme.EULER_MARUYAMA_ITO_FORM,
@@ -270,7 +287,7 @@ def _scheme_from(cfg: dict) -> SolverScheme:
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    outputs = _block(cfg, "outputs", {"dir"}, "outputs")
+    outputs = _block(cfg, "outputs")
     out = Path(args.out or _text(outputs.get("dir", "."), "outputs.dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -299,8 +316,7 @@ def _hk_form(model: SdeModel) -> SdeModel:
 def _cmd_integrate(cfg: dict, args) -> str:
     if "model" in cfg:  # the integrand is integrate.phi
         raise ConfigError("integrate takes no model block")
-    block = _block(cfg, "integrate", {"phi", "rules", "t0", "t1", "base_steps", "levels"},
-                   "integrate")
+    block = _block(cfg, "integrate")
     phi_expr = _parse_expr(block.get("phi", "x"), "integrate.phi")
     phi = xp.vector_fn(phi_expr)
     rules = block.get("rules", ["left", "midpoint", "right"])
@@ -336,7 +352,7 @@ def _cmd_convert(cfg: dict, args) -> str:
     model = _build_model(cfg)
     if "custom" not in cfg["model"]:
         raise ConfigError("convert requires a custom model")
-    xs = _block(cfg, "convert", {"xs"}, "convert").get("xs", [-2.0, 2.0, 101])
+    xs = _block(cfg, "convert").get("xs", [-2.0, 2.0, 101])
     if not (isinstance(xs, list) and len(xs) == 3):
         raise ConfigError(f"convert.xs must be [lo, hi, n], got {xs!r}")
     (lo, hi), n = _interval(xs[:2], "convert.xs[0:2]"), _num(xs[2], "convert.xs[2]", int)
@@ -387,8 +403,7 @@ def _cmd_simulate(cfg: dict, args) -> str:
 
 def _cmd_stationary(cfg: dict, args) -> str:
     model = _build_model(cfg)
-    interval, n_cells = _grid(_block(cfg, "stationary", {"interval", "n_cells"},
-                                     "stationary"), "stationary", model)
+    interval, n_cells = _grid(_block(cfg, "stationary"), "stationary", model)
     out = _out_dir(cfg, args)
     hk = _hk_form(model)
     dens = stationary_density(hk.f, hk.g, interval, n_cells)
@@ -400,19 +415,18 @@ def _cmd_stationary(cfg: dict, args) -> str:
 
 def _cmd_fpe(cfg: dict, args) -> str:
     model = _build_model(cfg)
-    block = _block(cfg, "fpe", {"interval", "n_cells", "horizon", "initial",
-                                "snapshot_every"}, "fpe")
+    block = _block(cfg, "fpe")
     (a, b), n_cells = _grid(block, "fpe", model)
     horizon = _num(block.get("horizon", 10.0), "fpe.horizon")
     snap = _num(block.get("snapshot_every", 0.1), "fpe.snapshot_every")
-    init = _block(block, "initial", {"kind", "x0", "center", "width"}, "fpe.initial")
+    init = _block(cfg, "fpe.initial")
     kind = init.get("kind", "point")
+    x0 = _num(init.get("x0", model.x0), "fpe.initial.x0")
+    c = _num(init.get("center", 0.0), "fpe.initial.center")
+    w = _num(init.get("width", 0.5), "fpe.initial.width")
     if kind == "point":
-        initial = GridDensity.point_mass(a, b, n_cells,
-                                         _num(init.get("x0", model.x0), "fpe.initial.x0"))
+        initial = GridDensity.point_mass(a, b, n_cells, x0)
     elif kind == "gaussian":
-        c = _num(init.get("center", 0.0), "fpe.initial.center")
-        w = _num(init.get("width", 0.5), "fpe.initial.width")
         if not 0 < w < math.inf:
             raise ConfigError(f"fpe.initial.width must be positive and finite, got {w}")
         initial = GridDensity.from_function(
@@ -444,12 +458,13 @@ def _cmd_experiment(cfg: dict, args) -> str:
         raise ConfigError(f"unknown experiment {family!r}; expected one of {FAMILIES}")
     if "model" in cfg:  # the family and its studies' parameters are fixed
         raise ConfigError("experiment takes no model block; the family is its argument")
-    block = _block(cfg, "experiment", {"dt", "n_seeds", "horizon", "hitting"}, "experiment")
+    block = _block(cfg, "experiment")
     dt = _num(block.get("dt", 1e-3), "experiment.dt")
     n_seeds = _num(block.get("n_seeds", 1000), "experiment.n_seeds", int)
     horizon = _num(block.get("horizon", 1.0), "experiment.horizon")
-    hit = _block(block, "hitting", {"band", "n_paths", "dt", "horizon"}, "experiment.hitting")
+    hit = _block(cfg, "experiment.hitting")
     band = _num(hit.get("band", 1e-4), "experiment.hitting.band")
+    n_paths = _num(hit.get("n_paths", 1000), "experiment.hitting.n_paths", int)
     seed = _seed_from(cfg, args.seed)
     out = _out_dir(cfg, args)
 
@@ -467,12 +482,10 @@ def _cmd_experiment(cfg: dict, args) -> str:
     rest_trio = family_models(family, rest_params)
     run_trio = family_models(family, run_params)
     hit_cfg = McConfig(
-        n_paths=_num(hit.get("n_paths", 1000) if args.paths is None else args.paths,
-                     "experiment.hitting.n_paths", int),
+        n_paths=n_paths if args.paths is None else args.paths,
         dt=_num(hit.get("dt", 1e-3), "experiment.hitting.dt"),
         horizon=_num(hit.get("horizon", 5.0), "experiment.hitting.horizon"),
         seed=seed,
-        record="terminal",
     )
     report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)
     hitting = boundary_hitting_study(run_trio, level, band, hit_cfg)

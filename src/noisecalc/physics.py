@@ -321,8 +321,8 @@ REST_START, HITTING = 1, 2
 
 def _member_config(model: SdeModel, offset: int, n_paths: int, dt: float,
                    horizon: float, seed: SeedSpec) -> McConfig:
-    """Terminal-only run of the ``offset``-th member on its own path block,
-    paths ``offset * n_paths + [0, n_paths)`` of ``seed``.
+    """Run of the ``offset``-th member on its own path block, paths
+    ``offset * n_paths + [0, n_paths)`` of ``seed``.
 
     Ito and Stratonovich members reflect at the domain edge; the HK member
     stops on violation, so an escape is observed rather than masked.
@@ -332,8 +332,7 @@ def _member_config(model: SdeModel, offset: int, n_paths: int, dt: float,
     else:
         boundary = Reflect(*model.domain)
     return McConfig(n_paths=n_paths, dt=dt, horizon=horizon,
-                    seed=seed.shifted(offset * n_paths), boundary=boundary,
-                    record="terminal")
+                    seed=seed.shifted(offset * n_paths), boundary=boundary)
 
 
 def rest_start_diagnostics(

@@ -23,6 +23,9 @@ closed domain by more than 1e-12 is a DomainViolation (stop, or
 flag-and-clamp under boundary ``None``); within tolerance it is clamped to
 the edge, which distinguishes genuine boundary pathologies from rounding.
 Reflection folds the state back into the interval and logs each fold.
+The boundary policy is checked once, by the engine, for every run: it is
+``None``, :data:`STOP_ON_VIOLATION` or a :class:`Reflect` interval that lies
+in the domain and contains the start.
 
 Ensembles are vectorized across paths.  Path ``i`` of a run seeded
 ``(master, stream, key)`` draws its noise through
@@ -72,7 +75,6 @@ __all__ = [
     "scheme_for",
     "simulate_path",
     "simulate_ensemble",
-    "simulate_reflected",
     "hitting_time",
     "exact_ou_path",
     "exact_kinetic_oracle",
@@ -127,6 +129,12 @@ class Reflect:
 STOP_ON_VIOLATION = "stop_on_violation"
 
 Boundary = Reflect | str | None
+
+
+def _check_boundary(boundary: Boundary) -> None:
+    """Accept ``None``, :data:`STOP_ON_VIOLATION` or a :class:`Reflect`."""
+    if not (boundary is None or isinstance(boundary, Reflect) or boundary == STOP_ON_VIOLATION):
+        raise ValueError(f"unknown boundary mode {boundary!r}")
 
 
 class EventKind(enum.Enum):
@@ -203,8 +211,7 @@ class McConfig:
             raise ValueError(f"unknown record mode {self.record!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if isinstance(self.boundary, str) and self.boundary != STOP_ON_VIOLATION:
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
+        _check_boundary(self.boundary)
         steps = self.horizon / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"horizon {self.horizon} is not a whole number of "
@@ -212,7 +219,7 @@ class McConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.horizon / self.dt))
+        return round(self.horizon / self.dt)
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
@@ -340,9 +347,14 @@ def _run_engine(
     """
     f, g, rule = _effective(model, scheme)
     lo, hi = model.domain
+    x0 = float(model.x0)
+    _check_boundary(boundary)
     if isinstance(boundary, Reflect):
         if boundary.lo < lo - _DOMAIN_TOL or boundary.hi > hi + _DOMAIN_TOL:
             raise ValueError("reflection interval must lie inside the model domain")
+        if not boundary.lo <= x0 <= boundary.hi:
+            raise ValueError(f"x0={x0} outside the reflection interval "
+                             f"[{boundary.lo}, {boundary.hi}]")
 
     n_steps = times.size - 1
     dts = np.diff(times)
@@ -350,7 +362,6 @@ def _run_engine(
         noise, scale = PathNoise(noise, n_paths), np.sqrt(dts)
     else:  # 1.0 * dw is dw bit for bit
         noise, scale = _GivenNoise(noise, n_paths, n_steps), np.ones(n_steps)
-    x0 = float(model.x0)
     raw = _Raw(n_paths, x0, n_steps)
     events = raw.events = [[] for _ in range(n_paths)] if record == "path" else None
 
@@ -368,14 +379,20 @@ def _run_engine(
     x = np.full(n_paths, x0)
     ids = np.arange(n_paths)
 
-    hit_down = True
-    if hit_level is not None:
-        hit_down = x0 >= hit_level
-        in_band = x0 <= hit_level + hit_band if hit_down else x0 >= hit_level - hit_band
-        if in_band:
-            raw.hit_time[:] = times[0]
-            raw.final_step[:] = 0
-            ids = ids[:0]
+    def _entered(v):
+        """Whether ``v`` is in the hit band, seen from the paths' starting side."""
+        return v <= hit_level + hit_band if x0 >= hit_level else v >= hit_level - hit_band
+
+    if hit_level is not None and _entered(x0):
+        raw.hit_time[:] = times[0]
+        raw.final_step[:] = 0
+        ids = ids[:0]
+
+    def _log(kind, rows, t, values):
+        """One event of ``kind`` at ``t`` for each live row in ``rows``."""
+        if events is not None:
+            for j in rows:
+                events[ids[j]].append(Event(kind, t, float(values[j])))
 
     def _project(values, t_now):
         """Boundary policy for the live rows: safe values, and the rows to
@@ -384,35 +401,33 @@ def _run_engine(
             folded, hits, folds = _fold_into(values, boundary.lo, boundary.hi)
             if hits.size:
                 raw.reflections[ids[hits]] += folds
-                if events is not None:
-                    for j in hits:
-                        events[ids[j]].append(Event(EventKind.REFLECTION, t_now, float(folded[j])))
+                _log(EventKind.REFLECTION, hits, t_now, folded)
             return folded.clip(lo, hi), None
         below = values < lo - _DOMAIN_TOL  # on a half-line, the only test
         bad = (below if math.isinf(hi) else below | (values > hi + _DOMAIN_TOL)).nonzero()[0]
         if bad.size:
             raw.violations[ids[bad]] += 1
-            if events is not None:
-                for j in bad:
-                    events[ids[j]].append(
-                        Event(EventKind.DOMAIN_VIOLATION, t_now, float(values[j])))
+            _log(EventKind.DOMAIN_VIOLATION, bad, t_now, values)
         stop = bad if bad.size and boundary == STOP_ON_VIOLATION else None
         return values.clip(lo, hi), stop
 
     # without reflection an unbounded domain has nothing to clamp or stop
     free = not isinstance(boundary, Reflect) and math.isinf(lo) and math.isinf(hi)
 
-    def _stop(rows, final, value, crossed):
-        """End the live ``rows`` on a fatal value: ``value`` becomes their
-        state and terminal, ``final`` their last step."""
+    def _end(rows, final, value, fatal):
+        """End the live ``rows`` at step ``final``: ``value`` becomes their
+        state and terminal.  A first hit passes ``fatal=None``; a fatal end
+        passes the offending values, clears ``completed``, and counts the
+        rows whose offending value entered the band as hits.  Returns the
+        mask of the live rows that go on."""
         dead = ids[rows]
-        x[dead] = value
+        x[dead] = raw.terminal[dead] = value
         raw.moved[dead] = mv[rows] | (value != x0)
-        raw.completed[dead] = False
         raw.final_step[dead] = final
-        raw.terminal[dead] = value
+        if fatal is not None:
+            raw.completed[dead] = False
         if hit_level is not None:
-            _mark_crossing_hits(raw, dead, crossed, t_next, hit_level, hit_band, hit_down)
+            raw.hit_time[dead if fatal is None else dead[_entered(fatal)]] = t_next
         keep = np.ones(ids.size, dtype=bool)
         keep[rows] = False
         return keep
@@ -441,7 +456,7 @@ def _run_engine(
                     point, t_eval = prop, t_next
                 point_safe, stop = (point, None) if free else _project(point, t_next)
                 if stop is not None:
-                    keep = _stop(stop, k, xa[stop], point[stop])
+                    keep = _end(stop, k, xa[stop], point[stop])
                     ids, xa, mv, at, base, dw, point_safe = (
                         a[keep] for a in (ids, xa, mv, at, base, dw, point_safe))
                     if ids.size == 0:
@@ -450,24 +465,15 @@ def _run_engine(
 
             xa, stop = (prop, None) if free else _project(prop, t_next)
             if stop is not None:
-                keep = _stop(stop, k + 1, prop[stop], prop[stop])
+                keep = _end(stop, k + 1, prop[stop], prop[stop])
                 ids, xa, mv, at = (a[keep] for a in (ids, xa, mv, at))
             mv |= xa != x0
 
             if hit_level is not None:  # a live path has not hit yet
-                entered = (xa <= hit_level + hit_band) if hit_down \
-                    else (xa >= hit_level - hit_band)
-                new = entered.nonzero()[0]
+                new = _entered(xa).nonzero()[0]
                 if new.size:
-                    just_hit = ids[new]
-                    raw.hit_time[just_hit] = t_next
-                    if events is not None:
-                        for i, v in zip(just_hit, xa[new]):
-                            events[i].append(Event(EventKind.HIT_LEVEL, t_next, float(v)))
-                    x[just_hit] = raw.terminal[just_hit] = xa[new]
-                    raw.moved[just_hit] = mv[new]
-                    raw.final_step[just_hit] = k + 1
-                    keep = ~entered
+                    _log(EventKind.HIT_LEVEL, new, t_next, xa)
+                    keep = _end(new, k + 1, xa[new], None)
                     ids, xa, mv, at = (a[keep] for a in (ids, xa, mv, at))
 
             if raw.recorded is not None and (k + 1) in rec_lookup:
@@ -484,13 +490,6 @@ def _run_engine(
     finished = raw.completed & (raw.final_step == n_steps)
     raw.terminal[finished] = x[finished]
     return raw
-
-
-def _mark_crossing_hits(raw, ids, values, t, level, band, hit_down):
-    """Count a fatal violation as a hit when its value crossed the band."""
-    cond = (values <= level + band) if hit_down else (values >= level - band)
-    sel = cond & np.isnan(raw.hit_time[ids])
-    raw.hit_time[ids[sel]] = t
 
 
 def _path_result(raw: _Raw, times: np.ndarray, i: int) -> PathResult:
@@ -572,26 +571,6 @@ def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> E
         results = tuple(_path_result(raw, times, i) for i in range(cfg.n_paths))
     return EnsembleResult(results, _summarize(model, scheme, cfg, raw),
                           raw.terminal[raw.completed].copy())
-
-
-def simulate_reflected(
-    model: SdeModel,
-    scheme: SolverScheme,
-    interval: tuple[float, float],
-    cfg: McConfig,
-) -> PathResult:
-    """One path folded into ``interval`` after each step."""
-    a, b = interval
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if not (a <= model.x0 <= b):
-        raise ValueError(f"x0={model.x0} outside [{a}, {b}]")
-    times = cfg.times()
-    raw = _run_engine(
-        model, scheme, times, 1, cfg.seed, Reflect(a, b),
-        record="path", record_stride=cfg.record_stride,
-    )
-    return _path_result(raw, times, 0)
 
 
 def hitting_time(

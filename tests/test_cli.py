@@ -425,6 +425,30 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["integrate"], {"model": {"family": "langevin1", "params": {"m": 5}},
                                  "integrate": {"base_steps": 8, "levels": 1}},
                  id="integrate-with-a-model-block"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"n_cells": 16},
+                                  "run": {"bogus": 1}},
+                 id="stationary-unknown-run-key"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"n_cells": 16}, "run": 5},
+                 id="stationary-run-number"),
+    pytest.param(["convert"], {"model": _OU, "convert": {"xs": [-1.0, 1.0, 3]},
+                               "fpe": {"bogus": 1}},
+                 id="convert-unknown-fpe-key"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {
+        "n_cells": 16, "horizon": 0.1, "initial": {"kind": "uniform", "width": "a"}}},
+                 id="fpe-uniform-width-string"),
+    pytest.param(["simulate", "--paths", "3"], {"model": _OU, "run": {
+        "n_paths": "a", "dt": 0.01, "horizon": 0.1}},
+                 id="simulate-n_paths-string-under-paths-flag"),
+    pytest.param(["simulate", "--dt", "0.01"], {"model": _OU, "run": {
+        "n_paths": 3, "dt": "a", "horizon": 0.1}},
+                 id="simulate-dt-string-under-dt-flag"),
+    pytest.param(["experiment", "langevin1", "--paths", "5"], {"experiment": {
+        "dt": 0.01, "n_seeds": 5, "horizon": 0.1,
+        "hitting": {"n_paths": "a", "dt": 0.01, "horizon": 0.1}}},
+                 id="experiment-hitting-n_paths-string-under-paths-flag"),
+    pytest.param(["simulate"], {"model": {"custom": {**_OU["custom"], "x0": 5.0}}, "run": {
+        "n_paths": 3, "dt": 0.01, "horizon": 0.1, "boundary": {"reflect": [0.0, 1.0]}}},
+                 id="simulate-start-outside-the-reflection-interval"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})

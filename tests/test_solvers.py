@@ -23,7 +23,6 @@ from noisecalc.solvers import (
     scheme_for,
     simulate_ensemble,
     simulate_path,
-    simulate_reflected,
     strong_convergence_order,
     _ou_coefficients,
     _run_engine,
@@ -134,7 +133,8 @@ def test_reflected_first_step_fold_arithmetic():
     assert z > 0  # chosen stream; first draw is positive
     dt = 0.04
     cfg = McConfig(n_paths=1, dt=dt, horizon=dt, seed=seed, boundary=Reflect(-1.0, b))
-    res = simulate_reflected(m, SolverScheme.DIRECT_LEFT, (-1.0, b), cfg)
+    res = simulate_path(m, SolverScheme.DIRECT_LEFT, TimeGrid(cfg.times()), cfg.seed,
+                        Reflect(-1.0, b))
     dw = math.sqrt(dt) * z
     assert res.path.values[1] == pytest.approx(b - dw, rel=1e-12)
     assert res.events[0].kind is EventKind.REFLECTION
@@ -148,7 +148,8 @@ def test_reflection_count_monotone_in_noise_amplitude():
                      dgdx=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                      interpretation=Interpretation.ITO, x0=0.0)
         cfg = McConfig(n_paths=1, dt=0.01, horizon=50.0, seed=SeedSpec(32))
-        res = simulate_reflected(m, SolverScheme.DIRECT_LEFT, (-1.0, 1.0), cfg)
+        res = simulate_path(m, SolverScheme.DIRECT_LEFT, TimeGrid(cfg.times()), cfg.seed,
+                            Reflect(-1.0, 1.0))
         counts.append(sum(1 for e in res.events if e.kind is EventKind.REFLECTION))
     assert counts[0] < counts[1] < counts[2]
 
@@ -157,7 +158,25 @@ def test_reflected_requires_x0_inside():
     m = _smooth_model(x0=5.0)
     cfg = McConfig(n_paths=1, dt=0.01, horizon=1.0, seed=SeedSpec(33))
     with pytest.raises(ValueError):
-        simulate_reflected(m, SolverScheme.DIRECT_LEFT, (-1.0, 1.0), cfg)
+        simulate_path(m, SolverScheme.DIRECT_LEFT, TimeGrid(cfg.times()), cfg.seed,
+                      Reflect(-1.0, 1.0))
+
+
+def test_every_run_rejects_a_start_outside_the_reflection_interval():
+    m = _smooth_model(x0=5.0)
+    cfg = McConfig(n_paths=4, dt=0.01, horizon=0.1, seed=SeedSpec(33),
+                   boundary=Reflect(-1.0, 1.0))
+    with pytest.raises(ValueError, match="x0=5.0 outside the reflection interval"):
+        simulate_ensemble(m, SolverScheme.DIRECT_LEFT, cfg)
+    with pytest.raises(ValueError, match="x0=5.0 outside the reflection interval"):
+        hitting_time(m, SolverScheme.DIRECT_LEFT, 0.0, 1e-3, cfg)
+
+
+def test_simulate_path_rejects_an_unknown_boundary_mode():
+    # a misspelt policy must not run as flag-and-clamp
+    with pytest.raises(ValueError, match="unknown boundary mode 'stop'"):
+        simulate_path(_smooth_model(), SolverScheme.DIRECT_LEFT,
+                      TimeGrid.uniform(0.0, 1.0, 10), SeedSpec(33), boundary="stop")
 
 
 def test_hitting_level_above_start_with_negative_drift():

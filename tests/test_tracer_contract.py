@@ -1,6 +1,7 @@
 """The benchmark tracer installs on today's module attributes and puts
 them back: a rename in ``src/`` that breaks ``perfbench --trace 1`` fails here."""
 import importlib.util
+import json
 from pathlib import Path
 
 import noisecalc.cli as cli
@@ -24,3 +25,39 @@ def test_install_then_uninstall_restores_the_patched_attributes():
     finally:
         t.uninstall()
     assert all(getattr(owner, attr) is old for (owner, attr), old in zip(watched, before))
+
+
+_WELL = {"custom": {"f": "x - x^3", "g": "0.5 + 0.1*x^2", "interpretation": "hk",
+                    "domain": [None, None], "x0": 0.1}}
+_OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito", "domain": [None, None],
+                  "x0": 0.0}}
+# one small job per command; together they reach every span the tracer names
+_JOBS = [
+    (["simulate"], {"model": _WELL, "run": {"n_paths": 8, "dt": 0.01, "horizon": 0.1,
+                                            "scheme": "euler"}}),
+    (["experiment", "langevin1"], {"experiment": {
+        "dt": 0.01, "n_seeds": 8, "horizon": 0.1,
+        "hitting": {"n_paths": 8, "dt": 0.01, "horizon": 0.1}}}),
+    (["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.2, "snapshot_every": 0.1}}),
+    (["integrate"], {"integrate": {"base_steps": 8, "levels": 1}}),
+    (["convert"], {"model": _WELL, "convert": {"xs": [-1.0, 1.0, 5]}}),
+    (["stationary"], {"model": _OU, "stationary": {"n_cells": 16}}),
+]
+
+
+def test_every_traced_layer_records_a_span(tmp_path):
+    """``fokker_planck.evolve`` aside (the CLI no longer calls ``evolve_fpe``),
+    each span name has a source, so no per-layer metric reads an empty layer."""
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.current_job = 0
+        for i, (argv, payload) in enumerate(_JOBS):
+            cfg = tmp_path / f"config{i}.json"
+            cfg.write_text(json.dumps(payload), encoding="utf-8")
+            assert cli.main([*argv, "--config", str(cfg), "--seed", "1",
+                             "--out", str(tmp_path / f"out{i}")]) == 0, argv
+    finally:
+        t.uninstall()
+    recorded = {tracer.NAMES[code] for code in t.name}
+    assert set(tracer.NAMES) - recorded <= {"fokker_planck.evolve"}
