@@ -319,10 +319,12 @@ def _cmd_integrate(cfg: dict, args) -> str:
     block = _block(cfg, "integrate")
     phi_expr = _parse_expr(block.get("phi", "x"), "integrate.phi")
     phi = xp.vector_fn(phi_expr)
-    rules = block.get("rules", ["left", "midpoint", "right"])
-    if not isinstance(rules, list):
-        raise ConfigError(f"integrate.rules must be a list of rule names, got {rules!r}")
-    rules = [EvaluationRule.from_name(_text(r, "integrate.rules")) for r in rules]
+    names = block.get("rules", ["left", "midpoint", "right"])
+    if not isinstance(names, list):
+        raise ConfigError(f"integrate.rules must be a list of rule names, got {names!r}")
+    rules = [EvaluationRule.from_name(_text(r, "integrate.rules")) for r in names]
+    if not rules or len(set(rules)) < len(rules):
+        raise ConfigError(f"integrate.rules must name one or more rules, each once, got {names!r}")
     t0 = _num(block.get("t0", 0.0), "integrate.t0")
     t1 = _num(block.get("t1", 1.0), "integrate.t1")
     base = _num(block.get("base_steps", 1024), "integrate.base_steps", int)
@@ -337,8 +339,7 @@ def _cmd_integrate(cfg: dict, args) -> str:
     path = generate_brownian(TimeGrid.uniform(t0, t1, base), seed)
     diverged = False
     for rule in rules:
-        table = convergence_table(lambda x: phi(x, 0.0), path, levels,
-                                  seed.shifted(1), rule)
+        table = convergence_table(lambda x: phi(x, 0.0), path, levels, seed, rule)
         buf = io.StringIO()
         table.write_csv(buf)
         _write_text(out / f"convergence_{rule.value}.csv", buf.getvalue())
@@ -437,7 +438,7 @@ def _cmd_fpe(cfg: dict, args) -> str:
         raise ConfigError(f"unknown initial kind {kind!r}")
 
     hk = _hk_form(model)
-    problem = FpeProblem(f=hk.f, g=hk.g, interval=(a, b), initial=initial, dgdx=hk.dgdx)
+    problem = FpeProblem(f=hk.f, g=hk.g, interval=(a, b), initial=initial)
     result = propagate_fpe(problem, horizon, snap)
 
     out = _out_dir(cfg, args)

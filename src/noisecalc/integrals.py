@@ -20,7 +20,8 @@ import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-from .paths import SamplePath, SeedSpec, TimeGrid, VectorPath, _check_same_grid, generate_brownian, refine_bridge
+from .paths import (REFINE, SamplePath, SeedSpec, TimeGrid, VectorPath, _check_same_grid,
+                    generate_brownian, refine_bridge)
 from .sde import EvaluationRule
 from .solvers import SolverScheme, _run_engine
 
@@ -167,6 +168,8 @@ def convergence_table(
     initial state define level 0; the Brownian driver is bridge-refined and
     the diffusion re-simulated on each refined grid with the shared noise
     (see :func:`_euler_path_from_driver`; states are kept in its domain).
+    Level ``l`` is refined from ``seed.child(REFINE, l)``, so a Brownian
+    ``path`` drawn from ``seed`` itself shares no draw with its refinements.
     """
     if refinement_levels < 0:
         raise ValueError("refinement_levels must be >= 0")
@@ -177,7 +180,7 @@ def convergence_table(
     driver = generate_brownian(path.grid, seed) if model is not None else path
     for level in range(refinement_levels + 1):
         if level > 0:
-            driver = refine_bridge(driver, 2, seed.shifted(level))
+            driver = refine_bridge(driver, 2, seed.child(REFINE, level))
         x = _euler_path_from_driver(model, driver) if model is not None else driver
         value = stochastic_sum(phi, x, x, rule)
         if not np.isfinite(value):

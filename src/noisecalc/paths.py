@@ -4,13 +4,18 @@ Grids are explicit point sequences so non-uniform partitions are first-class;
 a uniform constructor is provided for convenience.  Every random operation is
 a pure function of its inputs and a :class:`SeedSpec`.
 
-Ensembles draw through :class:`PathNoise`: path ``i`` of a run seeded
-``(master, stream, key)`` is path number ``p = stream + i``, and its noise
-is column ``p % BLOCK`` of block ``p // BLOCK``.  Each block has one
-generator and draws step-major ``(width, BLOCK)`` tiles, so the draw of
-path ``p`` at step ``s`` depends only on ``(master, key, p, s)``: not on
-how many other paths run, on how the steps are chunked, or on when other
-paths stop.
+One stream rule holds for the whole package: a stream is ``(master, path
+number, key)``.  Path ``i`` of a run seeded ``(master, stream, key)`` is path
+number ``stream + i`` (:meth:`SeedSpec.shifted`), and every other
+distinction (a study, a study's member, a refinement level, an oracle
+component) is a word appended to the key (:meth:`SeedSpec.child`) from the
+table below, never an offset added to the stream.
+
+Ensembles draw through :class:`PathNoise`: path number ``p`` is column
+``p % BLOCK`` of block ``p // BLOCK``.  Each block has one generator and
+draws step-major ``(width, BLOCK)`` tiles, so the draw of path ``p`` at
+step ``s`` depends only on ``(master, key, p, s)``: not on how many other
+paths run, on how the steps are chunked, or on when other paths stop.
 """
 from __future__ import annotations
 
@@ -34,8 +39,14 @@ __all__ = [
 
 # Paths per noise block: one generator serves BLOCK consecutive paths.
 BLOCK = 64
-# Last spawn-key word of every block stream, which keeps block streams apart
-# from single-stream users of the same (master, stream, key).
+
+# Key words of the stream rule; each but the block tag is followed by an index.
+REST_START = 1  # rest-start study; then the member (0 Ito, 1 Strat., 2 HK)
+HITTING = 2     # boundary hitting study; then the member
+REFINE = 3      # Brownian-bridge refinement; then the level (1, 2, ...)
+ORACLE = 4      # exact-OU oracle; then the velocity component
+# Last word of every block stream, which keeps block streams apart from
+# single-stream users of the same (master, stream, key).
 _BLOCK_TAG = 0x626C6B
 
 
@@ -47,9 +58,9 @@ class SeedSpec:
     operation consuming it.  Generator state comes from
     ``numpy.random.SeedSequence([master, stream], spawn_key=key)``; with
     the default empty key this is ``SeedSequence([master, stream])``.
-    Derived substreams are integer offsets of ``stream``
-    (:meth:`shifted`); independent studies take named keys
-    (:meth:`child`), so they cannot collide at any stream offset.
+    ``stream`` is a path number (:meth:`shifted`); every other distinction
+    is a key word (:meth:`child`), so no two purposes collide, whatever
+    the number of paths.
 
     Gaussian variates come from ``Generator.standard_normal`` (ziggurat).
     Bit-exact reproducibility is promised within one build of this package,
@@ -71,11 +82,12 @@ class SeedSpec:
         object.__setattr__(self, "key", key)
 
     def shifted(self, offset: int) -> "SeedSpec":
-        """Substream at ``stream + offset``, same key."""
+        """Path number ``stream + offset``, same key: the seed of path
+        ``offset`` of a run seeded ``self``."""
         return SeedSpec(self.master, self.stream + offset, self.key)
 
     def child(self, *key: int) -> "SeedSpec":
-        """The same stream under the spawn key extended by ``key``."""
+        """The same path number under the spawn key extended by ``key``."""
         return SeedSpec(self.master, self.stream, self.key + key)
 
     def generator(self) -> np.random.Generator:
@@ -268,8 +280,10 @@ def generate_brownian(grid: TimeGrid, seed: SeedSpec) -> SamplePath:
 def generate_brownian_vector(grid: TimeGrid, m: int, seed: SeedSpec) -> VectorPath:
     """``m`` independent scalar Brownian paths stacked into a VectorPath.
 
-    Component ``c`` draws from the substream ``stream*m + c`` (same master
+    Component ``c`` draws from path number ``stream*m + c`` (same master
     and key), so ``m = 1`` reproduces :func:`generate_brownian` exactly.
+    This is the one layout formula besides the stream rule of the module
+    docstring.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import SamplePath, SeedSpec, TimeGrid, _check_same_grid, generate_brownian_vector
+from .paths import (HITTING, REST_START, SamplePath, SeedSpec, TimeGrid, _check_same_grid,
+                    generate_brownian_vector)
 from .sde import Interpretation, SdeModel, finite_diff_gprime
 from .solvers import (
     HittingStats,
@@ -314,15 +315,11 @@ class RestStartReport:
         raise KeyError(interpretation)
 
 
-# Spawn-key words of the two boundary studies: a study's members run under
-# ``seed.child(study)``, so the studies never share noise, whatever n_paths.
-REST_START, HITTING = 1, 2
-
-
-def _member_config(model: SdeModel, offset: int, n_paths: int, dt: float,
-                   horizon: float, seed: SeedSpec) -> McConfig:
-    """Run of the ``offset``-th member on its own path block, paths
-    ``offset * n_paths + [0, n_paths)`` of ``seed``.
+def _member_config(model: SdeModel, n_paths: int, dt: float, horizon: float,
+                   seed: SeedSpec) -> McConfig:
+    """Run of one member, seeded ``seed.child(study, member)`` by the caller
+    (the key words are in :mod:`noisecalc.paths`), so no two members or
+    studies share noise, whatever n_paths.
 
     Ito and Stratonovich members reflect at the domain edge; the HK member
     stops on violation, so an escape is observed rather than masked.
@@ -331,8 +328,7 @@ def _member_config(model: SdeModel, offset: int, n_paths: int, dt: float,
         boundary = STOP_ON_VIOLATION
     else:
         boundary = Reflect(*model.domain)
-    return McConfig(n_paths=n_paths, dt=dt, horizon=horizon,
-                    seed=seed.shifted(offset * n_paths), boundary=boundary)
+    return McConfig(n_paths=n_paths, dt=dt, horizon=horizon, seed=seed, boundary=boundary)
 
 
 def rest_start_diagnostics(
@@ -352,13 +348,14 @@ def rest_start_diagnostics(
     deterministic first-step drift contribution, the fraction of paths
     with a domain violation, the fraction strictly inside the open domain
     at the horizon, and the fraction that never left the starting point.
-    Members use disjoint path blocks of ``seed.child(REST_START)``.
+    Member ``k`` (Ito, Stratonovich, HK) runs seeded
+    ``seed.child(REST_START, k)``.
     """
     members = []
-    for offset, model in enumerate(trio.members()):
+    for k, model in enumerate(trio.members()):
         scheme = scheme_for(model.interpretation)
         lo, hi = model.domain
-        cfg = _member_config(model, offset, n_seeds, dt, horizon, seed.child(REST_START))
+        cfg = _member_config(model, n_seeds, dt, horizon, seed.child(REST_START, k))
         raw = _run_engine(model, scheme, cfg.times(), cfg.n_paths, cfg.seed,
                           cfg.boundary, record="terminal")
         interior = raw.completed & (raw.terminal > lo) & (raw.terminal < hi)
@@ -384,12 +381,12 @@ def boundary_hitting_study(
 
     Ito and Stratonovich members reflect at the domain edge; the HK member
     stops on violation (a violating value through the band counts as a
-    hit).  Members use disjoint path blocks of ``cfg.seed.child(HITTING)``.
+    hit).  Member ``k`` runs seeded ``cfg.seed.child(HITTING, k)``.
     """
     out: dict[Interpretation, HittingStats] = {}
-    for offset, model in enumerate(trio.members()):
-        member_cfg = _member_config(model, offset, cfg.n_paths, cfg.dt, cfg.horizon,
-                                    cfg.seed.child(HITTING))
+    for k, model in enumerate(trio.members()):
+        member_cfg = _member_config(model, cfg.n_paths, cfg.dt, cfg.horizon,
+                                    cfg.seed.child(HITTING, k))
         out[model.interpretation] = hitting_time(
             model, scheme_for(model.interpretation), level, band, member_cfg)
     return out

@@ -44,9 +44,10 @@ are built only when paths are recorded.
 
 The exact OU oracles step the velocities of ``delta`` Langevin particles
 by exact Gaussian transitions, through one vectorized stepper.  Component
-``c`` of oracle path ``i`` of a run seeded ``(master, stream, key)`` draws
-from its own substream ``(stream + i) * delta + c``, so path ``i`` of any
-oracle is the one-path oracle seeded ``seed.shifted(i)``.
+``c`` of oracle path ``i`` of a run seeded ``seed`` draws from its own
+generator, seeded ``seed.shifted(i).child(ORACLE, c)``, so path ``i`` of any
+oracle is the one-path oracle seeded ``seed.shifted(i)``, and no oracle
+shares a draw with a Brownian driver or an engine run of the same seed.
 """
 from __future__ import annotations
 
@@ -57,7 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import PathNoise, SamplePath, SeedSpec, TimeGrid, generate_brownian, refine_bridge
+from .paths import (ORACLE, REFINE, PathNoise, SamplePath, SeedSpec, TimeGrid,
+                    generate_brownian, refine_bridge)
 from .sde import EvaluationRule, Interpretation, SdeModel, to_ito
 
 __all__ = [
@@ -645,8 +647,8 @@ def _oracle_velocities(
     _check_langevin(m, gamma, sigma)
     decay, scale = _ou_coefficients(m, gamma, sigma, h)
     n_steps = decay.size
-    gens = [[SeedSpec(seed.master, (seed.stream + i) * delta + c, seed.key).generator()
-             for c in range(delta)] for i in range(n_paths)]
+    gens = [[seed.shifted(i).child(ORACLE, c).generator() for c in range(delta)]
+            for i in range(n_paths)]
     v = np.tile(np.asarray(v0s, dtype=float), (n_paths, 1))
     if level is None:
         out = np.empty((n_paths, n_steps + 1, delta))
@@ -702,7 +704,7 @@ def exact_kinetic_oracle(
 ) -> SamplePath:
     """Kinetic energy of ``delta`` independent Langevin particles.
 
-    Built from exact velocity transitions, one substream per component
+    Built from exact velocity transitions, one generator per component
     (module docstring), hence exact in distribution at the grid times;
     this is the independent oracle for the kinetic-energy claims.
     """
@@ -769,8 +771,10 @@ def strong_convergence_order(
 
     ``dts`` must be strictly decreasing with dyadic ratios.  The driving
     noise is shared across resolutions by bridge refinement of one coarse
-    path per ensemble member; the reference is the same scheme on a grid
-    16 times finer than the finest level.
+    path per ensemble member: path ``p`` is seeded ``cfg.seed.shifted(p)``
+    and its level ``l`` refinement ``cfg.seed.shifted(p).child(REFINE, l)``.
+    The reference is the same scheme on a grid 16 times finer than the
+    finest level.
     """
     dts = list(dts)
     if len(dts) < 3:
@@ -804,7 +808,7 @@ def strong_convergence_order(
             if n >= n_ref:
                 break
             level += 1
-            w = refine_bridge(w, 2, cfg.seed.shifted(n_paths + p * 64 + level))
+            w = refine_bridge(w, 2, cfg.seed.shifted(p).child(REFINE, level))
             n *= 2
 
     ref_incs = np.vstack(ladders[n_ref])

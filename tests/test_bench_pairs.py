@@ -28,9 +28,9 @@ def test_outputs_compared_byte_for_byte(tmp_path):
     for side in ("a", "b"):
         (tmp_path / side / "job").mkdir(parents=True)
         (tmp_path / side / "job" / "x.csv").write_bytes(b"1.0\n")
-    assert bench_pairs._same_outputs(tmp_path / "a", tmp_path / "b")
+    assert bench_pairs._differing_outputs(tmp_path / "a", tmp_path / "b") == []
     (tmp_path / "b" / "job" / "x.csv").write_bytes(b"1.00\n")
-    assert not bench_pairs._same_outputs(tmp_path / "a", tmp_path / "b")
+    assert bench_pairs._differing_outputs(tmp_path / "a", tmp_path / "b") == ["job/x.csv"]
     (tmp_path / "b" / "job" / "x.csv").write_bytes(b"1.0\n")
     (tmp_path / "b" / "job" / "y.csv").write_bytes(b"")
-    assert not bench_pairs._same_outputs(tmp_path / "a", tmp_path / "b")
+    assert bench_pairs._differing_outputs(tmp_path / "a", tmp_path / "b") == ["job/y.csv"]

@@ -388,6 +388,11 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
                  id="integrate-unknown-rule"),
     pytest.param(["integrate"], {"integrate": {"t0": 1, "t1": 0}},
                  id="integrate-reversed-interval"),
+    pytest.param(["integrate"], {"integrate": {"rules": [], "base_steps": 8, "levels": 1}},
+                 id="integrate-no-rules"),
+    pytest.param(["integrate"], {"integrate": {"rules": ["left", "LEFT"], "base_steps": 8,
+                                               "levels": 1}},
+                 id="integrate-repeated-rule"),
     pytest.param(["integrate", "--seed", "-1"], {"integrate": {"base_steps": 8, "levels": 1}},
                  id="integrate-negative-seed"),
     pytest.param(["integrate"], {"run": {"bogus": 1}},

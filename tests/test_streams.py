@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 import noisecalc.cli
+import noisecalc.physics
 from noisecalc.cli import main
 from conftest import path_noise
-from noisecalc.paths import BLOCK, SeedSpec, TimeGrid
+from noisecalc.paths import BLOCK, SeedSpec, TimeGrid, generate_brownian
+from noisecalc.physics import LangevinParams, langevin_velocity_pair
 from noisecalc.sde import Interpretation, SdeModel
-from noisecalc.solvers import McConfig, SolverScheme, _run_engine, simulate_ensemble, simulate_path
+from noisecalc.solvers import (McConfig, SolverScheme, _oracle_velocities, _ou_coefficients,
+                               _run_engine, exact_ou_path, simulate_ensemble, simulate_path)
 
 N_STEPS, DT = 1300, 2.0**-10  # more than two of the engine's 512-step chunks
 
@@ -110,29 +113,71 @@ def test_ensemble_opens_one_generator_per_block(opened):
     assert len(opened) <= math.ceil(n / BLOCK) + 1
 
 
-def test_experiment_studies_draw_from_disjoint_streams(tmp_path, monkeypatch, opened):
-    # the benchmark's mc_wide sizes: at n_seeds = 5000 the rest-start HK
-    # member and the hitting study's Ito member used to share paths
-    by_study = {}
+def _opened_per_call(tmp_path, monkeypatch, opened, module, names):
+    """Run ``experiment langevin1`` at the benchmark's mc_wide sizes and
+    return, per call of one of ``module``'s functions ``names``, in order,
+    the set of ``(stream, key)`` it opened."""
+    calls = []
 
     def tagged(name):
-        real = getattr(noisecalc.cli, name)
+        real = getattr(module, name)
 
         def run(*args, **kwargs):
             start = len(opened)
             out = real(*args, **kwargs)
-            by_study[name] = set(opened[start:])
+            calls.append(set(opened[start:]))
             return out
-        monkeypatch.setattr(noisecalc.cli, name, run)
+        monkeypatch.setattr(module, name, run)
 
-    tagged("rest_start_diagnostics")
-    tagged("boundary_hitting_study")
+    for name in names:
+        tagged(name)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "experiment": {"n_seeds": 5000, "dt": 1e-3, "horizon": 2e-3,
                        "hitting": {"n_paths": 5000, "dt": 1e-3, "horizon": 2e-3}},
         "outputs": {"dir": str(tmp_path / "out")}}))
     assert main(["experiment", "langevin1", "--config", str(cfg), "--seed", "3"]) == 0
-    rest, hitting = by_study["rest_start_diagnostics"], by_study["boundary_hitting_study"]
+    return calls
+
+
+def test_experiment_studies_draw_from_disjoint_streams(tmp_path, monkeypatch, opened):
+    # at n_seeds = 5000 the rest-start HK member and the hitting study's Ito
+    # member used to share paths
+    rest, hitting = _opened_per_call(tmp_path, monkeypatch, opened, noisecalc.cli,
+                                     ["rest_start_diagnostics", "boundary_hitting_study"])
     assert rest and hitting
     assert not rest & hitting
+
+
+def _oracle_normals(v, dt):
+    """The standard normals behind exact OU velocities ``v`` (m = gamma =
+    sigma = 1) on a uniform grid of step ``dt``, along the first axis."""
+    decay, scale = _ou_coefficients(1.0, 1.0, 1.0, dt)
+    return (v[1:] - decay * v[:-1]) / scale
+
+
+def test_delta_1_oracle_does_not_reuse_the_brownian_driver():
+    grid, seed = TimeGrid.uniform(0.0, 1.0, 200), SeedSpec(76, 5)
+    oracle = _oracle_normals(exact_ou_path(1.0, 1.0, 1.0, 0.5, grid, seed).values, 1 / 200)
+    driver = generate_brownian(grid, seed).increments() / math.sqrt(1 / 200)
+    assert not np.allclose(oracle, driver)
+
+
+def test_delta_2_oracle_does_not_reuse_the_velocity_pair_drivers():
+    grid, seed = TimeGrid.uniform(0.0, 1.0, 200), SeedSpec(77, 5)
+    v = _oracle_velocities(2, 1.0, 1.0, 1.0, [0.5, 0.5], grid.spacings, 1, seed)[0]
+    oracle = _oracle_normals(v, 1 / 200)
+    drivers = langevin_velocity_pair(LangevinParams(v0=0.5, u0=0.5), grid, seed)[2:]
+    for c, w in enumerate(drivers):
+        assert not np.allclose(oracle[:, c], w.increments() / math.sqrt(1 / 200))
+
+
+def test_experiment_member_runs_draw_from_disjoint_streams(tmp_path, monkeypatch, opened):
+    # rest-start members used to meet in the blocks that straddle their
+    # path ranges (78 and 156)
+    runs = _opened_per_call(tmp_path, monkeypatch, opened, noisecalc.physics,
+                            ["_run_engine", "hitting_time"])  # rest-start, hitting members
+    assert len(runs) == 6 and all(runs)
+    for i, a in enumerate(runs):
+        for b in runs[i + 1:]:
+            assert not a & b

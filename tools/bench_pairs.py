@@ -11,7 +11,9 @@ even pairs and the change first in odd ones, so that a drift of the
 machine's speed hits both sides alike.  Seeds cycle through ``--seeds``.
 
 After each pair the two trees' ``perfbench/_out/W/plain`` directories are
-compared file by file.  The script reads each run's final JSON line and
+compared file by file, and the pair records the relative paths of the files
+that differ (``outputs_differing``; ``outputs_identical`` when there are
+none).  The script reads each run's final JSON line and
 writes, per workload and end-to-end metric of ``BENCHMARK.json``: every
 run's value, each side's median and quartiles, the change's relative
 median shift, and in how many pairs the change was better.  With
@@ -45,14 +47,13 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return row
 
 
-def _same_outputs(a: Path, b: Path) -> bool:
-    """True when both directory trees hold the same files, byte for byte."""
-    cmp = filecmp.dircmp(a, b)
-    if cmp.left_only or cmp.right_only or cmp.funny_files:
-        return False
-    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files, shallow=False)
-    return not (mismatch or errors) and all(
-        _same_outputs(a / d, b / d) for d in cmp.common_dirs)
+def _differing_outputs(a: Path, b: Path) -> list[str]:
+    """The relative paths, sorted, of the files that differ between two
+    directory trees: present in one only, or not the same byte for byte."""
+    files = {f.relative_to(root).as_posix()
+             for root in (a, b) for f in root.rglob("*") if f.is_file()}
+    return sorted(f for f in files if not (
+        (a / f).is_file() and (b / f).is_file() and filecmp.cmp(a / f, b / f, shallow=False)))
 
 
 def _side(values: list[float]) -> dict:
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
             row[side] = _run(parent if side == "parent" else CHANGE,
                              args.workload, seed, args.seconds)
         plain = Path("perfbench", "_out", args.workload, "plain")
-        row["outputs_identical"] = _same_outputs(parent / plain, CHANGE / plain)
+        row["outputs_differing"] = _differing_outputs(parent / plain, CHANGE / plain)
+        row["outputs_identical"] = not row["outputs_differing"]
         runs.append(row)
         print(json.dumps(row), flush=True)
 
