@@ -17,6 +17,7 @@ from .integrals import (
     realized_variation,
     realized_cross_variation,
     backward_regularized,
+    strong_convergence_order,
 )
 from .sde import Interpretation, SdeModel, finite_diff_gprime, to_ito, from_ito
 from .solvers import (
@@ -35,7 +36,6 @@ from .solvers import (
     kinetic_oracle_hitting,
     besq_time_change,
     besq_dimension,
-    strong_convergence_order,
     scheme_for,
 )
 from .fokker_planck import (

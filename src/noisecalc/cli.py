@@ -185,9 +185,12 @@ def _seed_from(cfg: dict, override: int | None) -> SeedSpec:
                     _num(raw.get("stream", 0), "run.seed.stream", int))
 
 
-def _build_custom_model(block: dict) -> SdeModel:
+def _build_custom_model(block: dict, command: str) -> SdeModel:
     f_expr = _parse_expr(_get(block, "f", required=True), "model.custom.f")
     g_expr = _parse_expr(_get(block, "g", required=True), "model.custom.g")
+    for key, e in (("f", f_expr), ("g", g_expr)):
+        if command in ("stationary", "fpe") and xp.reads_t(e):  # not frozen at t = 0
+            raise ConfigError(f"model.custom.{key} reads t, but {command} takes functions of x")
     interp = Interpretation.from_name(
         _text(_get(block, "interpretation", "ito"), "model.custom.interpretation"))
     dom = _get(block, "domain", [None, None])
@@ -219,14 +222,15 @@ def _family_params(family: str, model: dict):
     return p
 
 
-def _build_model(cfg: dict) -> SdeModel:
+def _build_model(cfg: dict, command: str) -> SdeModel:
     block = cfg.get("model")
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'model' object")
     if "custom" in block:
         _object(block, "model", {"custom"})
         return _build_custom_model(_object(
-            block["custom"], "model.custom", {"f", "g", "interpretation", "domain", "x0"}))
+            block["custom"], "model.custom", {"f", "g", "interpretation", "domain", "x0"}),
+            command)
     _object(block, "model", {"family", "interpretation", "params"})
     family = _get(block, "family", required=True)
     if family not in FAMILIES:
@@ -318,6 +322,8 @@ def _cmd_integrate(cfg: dict, args) -> str:
         raise ConfigError("integrate takes no model block")
     block = _block(cfg, "integrate")
     phi_expr = _parse_expr(block.get("phi", "x"), "integrate.phi")
+    if xp.reads_t(phi_expr):  # not frozen at t = 0
+        raise ConfigError("integrate.phi reads t, but integrate takes a function of x")
     phi = xp.vector_fn(phi_expr)
     names = block.get("rules", ["left", "midpoint", "right"])
     if not isinstance(names, list):
@@ -337,20 +343,18 @@ def _cmd_integrate(cfg: dict, args) -> str:
     out = _out_dir(cfg, args)
 
     path = generate_brownian(TimeGrid.uniform(t0, t1, base), seed)
-    diverged = False
-    for rule in rules:
-        table = convergence_table(lambda x: phi(x, 0.0), path, levels, seed, rule)
+    tables = convergence_table(lambda x: phi(x, 0.0), path, levels, seed, rules)
+    for table in tables:
         buf = io.StringIO()
         table.write_csv(buf)
-        _write_text(out / f"convergence_{rule.value}.csv", buf.getvalue())
-        diverged = diverged or table.diverged
-    if diverged:
+        _write_text(out / f"convergence_{table.rule.value}.csv", buf.getvalue())
+    if any(table.diverged for table in tables):
         raise NumericError("divergent sums in at least one convergence table")
     return f"integrate: wrote {len(rules)} table(s) to {out}"
 
 
 def _cmd_convert(cfg: dict, args) -> str:
-    model = _build_model(cfg)
+    model = _build_model(cfg, args.command)
     if "custom" not in cfg["model"]:
         raise ConfigError("convert requires a custom model")
     xs = _block(cfg, "convert").get("xs", [-2.0, 2.0, 101])
@@ -377,7 +381,7 @@ def _cmd_convert(cfg: dict, args) -> str:
 
 
 def _cmd_simulate(cfg: dict, args) -> str:
-    model = _build_model(cfg)
+    model = _build_model(cfg, args.command)
     mc = _mc_config(cfg, args)
     if mc.n_paths > 1:  # histories and events only shape path.csv, written for one path
         mc = replace(mc, record="terminal")
@@ -403,7 +407,7 @@ def _cmd_simulate(cfg: dict, args) -> str:
 
 
 def _cmd_stationary(cfg: dict, args) -> str:
-    model = _build_model(cfg)
+    model = _build_model(cfg, args.command)
     interval, n_cells = _grid(_block(cfg, "stationary"), "stationary", model)
     out = _out_dir(cfg, args)
     hk = _hk_form(model)
@@ -415,7 +419,7 @@ def _cmd_stationary(cfg: dict, args) -> str:
 
 
 def _cmd_fpe(cfg: dict, args) -> str:
-    model = _build_model(cfg)
+    model = _build_model(cfg, args.command)
     block = _block(cfg, "fpe")
     (a, b), n_cells = _grid(block, "fpe", model)
     horizon = _num(block.get("horizon", 10.0), "fpe.horizon")

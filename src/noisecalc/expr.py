@@ -34,6 +34,7 @@ __all__ = [
     "ExprEvalError",
     "DerivativeUnsupportedError",
     "parse",
+    "reads_t",
     "evaluate",
     "derivative",
     "to_source",
@@ -250,6 +251,15 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse UTF-8 text into an expression tree."""
     return Expr(_Parser(source).parse())
+
+
+def reads_t(e: Expr) -> bool:
+    """Whether the expression reads the time variable ``t``."""
+    def reads(node: Node) -> bool:
+        if isinstance(node, Var):
+            return node.name == "t"
+        return any(reads(c) for c in vars(node).values() if isinstance(c, Node))
+    return reads(e.root)
 
 
 # --- evaluation ------------------------------------------------------------

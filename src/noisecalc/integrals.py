@@ -10,11 +10,13 @@ interior point.  Dyadic grids satisfy this by construction.
 Limits "in probability" are operationalized as dyadic refinement of one
 fixed path (bridge-consistent), reported as a :class:`ConvergenceTable`;
 ensemble quantiles over seeds quantify the distributional statements.
+One ladder, :func:`_ladder`, refines the convergence tables' paths, once
+for all rules, and the shared drivers of :func:`strong_convergence_order`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -22,8 +24,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from .paths import (REFINE, SamplePath, SeedSpec, TimeGrid, VectorPath, _check_same_grid,
                     generate_brownian, refine_bridge)
-from .sde import EvaluationRule
-from .solvers import SolverScheme, _run_engine
+from .sde import EvaluationRule, SdeModel
+from .solvers import McConfig, SolverScheme, _run_engine
 
 __all__ = [
     "EvaluationRule",
@@ -38,6 +40,7 @@ __all__ = [
     "realized_variation",
     "realized_cross_variation",
     "backward_regularized",
+    "strong_convergence_order",
 ]
 
 
@@ -153,42 +156,49 @@ def _euler_path_from_driver(model, driver: SamplePath) -> SamplePath:
     return SamplePath(driver.grid, raw.recorded[:, 0])
 
 
+def _ladder(path: SamplePath, levels: int, seed: SeedSpec) -> Iterator[SamplePath]:
+    """``path``, then its ``levels`` dyadic bridge refinements, one at a time:
+    level ``l`` is level ``l - 1`` refined by 2 from ``seed.child(REFINE, l)``,
+    so a path drawn from ``seed`` itself shares no draw with its refinements."""
+    yield path
+    for level in range(1, levels + 1):
+        path = refine_bridge(path, 2, seed.child(REFINE, level))
+        yield path
+
+
 def convergence_table(
     phi: Callable[[float], float],
     path: SamplePath,
     refinement_levels: int,
     seed: SeedSpec,
-    rule: EvaluationRule,
+    rules: Sequence[EvaluationRule],
     model=None,
-) -> ConvergenceTable:
-    """Rule sums of ``phi(X) dX`` over dyadic refinements of one path.
+) -> list[ConvergenceTable]:
+    """Rule sums of ``phi(X) dX`` over dyadic refinements of one path, one
+    table per rule of ``rules``, in their order.
 
     With ``model=None`` the path is taken to be Brownian and refined by
     bridge sampling directly.  With a model, the path's grid and the model's
     initial state define level 0; the Brownian driver is bridge-refined and
     the diffusion re-simulated on each refined grid with the shared noise
     (see :func:`_euler_path_from_driver`; states are kept in its domain).
-    Level ``l`` is refined from ``seed.child(REFINE, l)``, so a Brownian
-    ``path`` drawn from ``seed`` itself shares no draw with its refinements.
+    Each level comes from :func:`_ladder` seeded ``seed``, once for all rules.
     """
     if refinement_levels < 0:
         raise ValueError("refinement_levels must be >= 0")
     steps: list[int] = []
-    vals: list[float] = []
-    bad: list[int] = []
-
+    sums: dict[EvaluationRule, list[float]] = {rule: [] for rule in rules}
     driver = generate_brownian(path.grid, seed) if model is not None else path
-    for level in range(refinement_levels + 1):
-        if level > 0:
-            driver = refine_bridge(driver, 2, seed.child(REFINE, level))
+    for driver in _ladder(driver, refinement_levels, seed):
         x = _euler_path_from_driver(model, driver) if model is not None else driver
-        value = stochastic_sum(phi, x, x, rule)
-        if not np.isfinite(value):
-            bad.append(level)
-            value = np.nan
         steps.append(x.grid.n_steps)
-        vals.append(value)
-    return ConvergenceTable(rule, tuple(steps), tuple(vals), tuple(bad))
+        for rule in rules:
+            sums[rule].append(stochastic_sum(phi, x, x, rule))
+    # a non-finite sum is reported as NaN, and its level as diverged
+    return [ConvergenceTable(rule, tuple(steps),
+                             tuple(v if np.isfinite(v) else np.nan for v in sums[rule]),
+                             tuple(l for l, v in enumerate(sums[rule]) if not np.isfinite(v)))
+            for rule in rules]
 
 
 def hk_integral(
@@ -201,7 +211,52 @@ def hk_integral(
     """Right-rule convergence table: the Hanggi-Klimontovich integral of
     ``phi(X)`` with respect to ``X`` itself."""
     return convergence_table(phi, path, refinement_levels, seed,
-                             EvaluationRule.RIGHT, model=model)
+                             (EvaluationRule.RIGHT,), model=model)[0]
+
+
+def strong_convergence_order(
+    model: SdeModel,
+    scheme: SolverScheme,
+    dts: Sequence[float],
+    cfg: McConfig,
+) -> float:
+    """Least-squares slope of log strong error at the horizon vs log dt.
+
+    ``dts`` must be strictly decreasing with dyadic ratios.  The driving
+    noise is shared across resolutions: path ``p`` of the ensemble is one
+    coarse Brownian path seeded ``cfg.seed.shifted(p)`` and its
+    :func:`_ladder` under the same seed.  The reference is the same scheme
+    on a grid 16 times finer than the finest level.
+    """
+    dts = list(dts)
+    if len(dts) < 3:
+        raise ValueError("need at least 3 dt levels")
+    for a, b in zip(dts, dts[1:]):
+        r = round(a / b) if b < a else 0
+        if r < 2 or r & (r - 1) or abs(a / b - r) > 1e-9:
+            raise ValueError("dts must strictly decrease, each by a power of two")
+
+    T = cfg.horizon
+    n_levels = [round(T / dt) for dt in dts]
+    if abs(T / n_levels[0] - dts[0]) > 1e-12 * max(1.0, T):
+        raise ValueError("horizon must be an integer multiple of the coarsest dt")
+    n_ref = n_levels[-1] * 16
+    depth = (n_ref // n_levels[0]).bit_length() - 1  # the ratio is a power of two
+
+    ladders: dict[int, list[np.ndarray]] = {n: [] for n in n_levels + [n_ref]}
+    grid0 = TimeGrid.uniform(0.0, T, n_levels[0])
+    for p in range(cfg.n_paths):
+        seed = cfg.seed.shifted(p)
+        for w in _ladder(generate_brownian(grid0, seed), depth, seed):
+            if w.grid.n_steps in ladders:
+                ladders[w.grid.n_steps].append(w.increments())
+    x_end = {n: _run_engine(model, scheme, np.arange(n + 1) * (T / n), cfg.n_paths,
+                            np.vstack(incs), None).terminal for n, incs in ladders.items()}
+    errs = [float(np.mean(np.abs(x_end[n] - x_end[n_ref]))) for n in n_levels]
+    if any(e <= 0 for e in errs):
+        raise ValueError("zero strong error: a level coincides with the reference")
+    slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(errs)), 1)[0]
+    return float(slope)
 
 
 def _matrix_values(psi, xs: np.ndarray, ts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

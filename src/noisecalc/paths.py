@@ -52,7 +52,7 @@ _BLOCK_TAG = 0x626C6B
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """A 64-bit master seed, a non-negative stream index and a spawn key.
+    """A master seed, a stream index and a spawn key, each word 32-bit.
 
     The triple ``(master, stream, key)`` fully determines every draw of any
     operation consuming it.  Generator state comes from
@@ -60,7 +60,8 @@ class SeedSpec:
     the default empty key this is ``SeedSequence([master, stream])``.
     ``stream`` is a path number (:meth:`shifted`); every other distinction
     is a key word (:meth:`child`), so no two purposes collide, whatever
-    the number of paths.
+    the number of paths.  Each word is below ``2**32``: SeedSequence would
+    split a larger one in two (``SeedSpec(5 + 7 * 2**32)`` is ``SeedSpec(5, 7)``).
 
     Gaussian variates come from ``Generator.standard_normal`` (ziggurat).
     Bit-exact reproducibility is promised within one build of this package,
@@ -72,13 +73,13 @@ class SeedSpec:
     key: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master) < 2**64:
-            raise ValueError(f"master seed must be a 64-bit unsigned integer, got {self.master}")
-        if int(self.stream) < 0:
-            raise ValueError(f"stream index must be non-negative, got {self.stream}")
         key = tuple(int(k) for k in self.key)
-        if any(k < 0 for k in key):
-            raise ValueError(f"spawn key words must be non-negative, got {self.key}")
+        words = [("master seed", self.master), ("stream index", self.stream)]
+        for name, word in words + [("spawn key word", k) for k in key]:
+            if not 0 <= int(word) < 2**32:
+                raise ValueError(
+                    f"{name} must be in [0, 2**32), got {word} (SeedSequence splits a "
+                    "larger word into two, which draws another seed's numbers)")
         object.__setattr__(self, "key", key)
 
     def shifted(self, offset: int) -> "SeedSpec":

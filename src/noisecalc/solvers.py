@@ -13,10 +13,8 @@ Every scheme steps with one :class:`~noisecalc.sde.EvaluationRule`:
 
 One engine steps every scheme over one of two noise sources: keyed block
 streams for a seeded run, or a given ``(n_paths, n_steps)`` increment matrix
-(the bridge-refined drivers of :func:`strong_convergence_order` and of the
-model-driven convergence tables in :mod:`noisecalc.integrals`).
-:func:`strong_convergence_order` measures each level against the same
-scheme on a 16 times finer refinement of the same drivers.
+(the bridge-refined drivers of the model-driven convergence tables and of
+``strong_convergence_order``, both in :mod:`noisecalc.integrals`).
 
 Domain handling, for both sources: a state or evaluation point outside the
 closed domain by more than 1e-12 is a DomainViolation (stop, or
@@ -58,8 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import (ORACLE, REFINE, PathNoise, SamplePath, SeedSpec, TimeGrid,
-                    generate_brownian, refine_bridge)
+from .paths import ORACLE, PathNoise, SamplePath, SeedSpec, TimeGrid
 from .sde import EvaluationRule, Interpretation, SdeModel, to_ito
 
 __all__ = [
@@ -84,7 +81,6 @@ __all__ = [
     "kinetic_oracle_hitting",
     "besq_time_change",
     "besq_dimension",
-    "strong_convergence_order",
 ]
 
 _DOMAIN_TOL = 1e-12
@@ -756,70 +752,3 @@ def besq_dimension(model_kind: str) -> int:
         return kinds[model_kind]
     except KeyError:
         raise ValueError(f"unknown model kind {model_kind!r}") from None
-
-
-# --- strong convergence -------------------------------------------------------
-
-
-def strong_convergence_order(
-    model: SdeModel,
-    scheme: SolverScheme,
-    dts: Sequence[float],
-    cfg: McConfig,
-) -> float:
-    """Least-squares slope of log strong error at the horizon vs log dt.
-
-    ``dts`` must be strictly decreasing with dyadic ratios.  The driving
-    noise is shared across resolutions by bridge refinement of one coarse
-    path per ensemble member: path ``p`` is seeded ``cfg.seed.shifted(p)``
-    and its level ``l`` refinement ``cfg.seed.shifted(p).child(REFINE, l)``.
-    The reference is the same scheme on a grid 16 times finer than the
-    finest level.
-    """
-    dts = list(dts)
-    if len(dts) < 3:
-        raise ValueError("need at least 3 dt levels")
-    for a, b in zip(dts, dts[1:]):
-        if not b < a:
-            raise ValueError("dts must be strictly decreasing")
-        ratio = a / b
-        r = round(ratio)
-        if abs(ratio - r) > 1e-9 or r < 2 or (r & (r - 1)):
-            raise ValueError("dts must refine dyadically")
-
-    T = cfg.horizon
-    n_levels = [round(T / dt) for dt in dts]
-    if abs(T / n_levels[0] - dts[0]) > 1e-12 * max(1.0, T):
-        raise ValueError("horizon must be an integer multiple of the coarsest dt")
-    n_ref = n_levels[-1] * 16
-
-    n_paths = cfg.n_paths
-
-    ladders: dict[int, list[np.ndarray]] = {n: [] for n in n_levels + [n_ref]}
-    grid0 = TimeGrid.uniform(0.0, T, n_levels[0])
-    times_of = {n: np.arange(n + 1) * (T / n) for n in set(n_levels + [n_ref])}
-    for p in range(n_paths):
-        w = generate_brownian(grid0, cfg.seed.shifted(p))
-        n = n_levels[0]
-        level = 0
-        while True:
-            if n in ladders:
-                ladders[n].append(np.diff(w.values))
-            if n >= n_ref:
-                break
-            level += 1
-            w = refine_bridge(w, 2, cfg.seed.shifted(p).child(REFINE, level))
-            n *= 2
-
-    ref_incs = np.vstack(ladders[n_ref])
-    x_ref = _run_engine(model, scheme, times_of[n_ref], n_paths, ref_incs, None).terminal
-
-    errs = []
-    for n in n_levels:
-        incs = np.vstack(ladders[n])
-        x_end = _run_engine(model, scheme, times_of[n], n_paths, incs, None).terminal
-        errs.append(float(np.mean(np.abs(x_end - x_ref))))
-    if any(e <= 0 for e in errs):
-        raise ValueError("zero strong error: a level coincides with the reference")
-    slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(errs)), 1)[0]
-    return float(slope)

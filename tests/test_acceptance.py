@@ -30,6 +30,7 @@ from noisecalc.integrals import (
     multidim_hk_sum,
     realized_variation,
     stochastic_sum,
+    strong_convergence_order,
 )
 from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, VectorPath, generate_brownian, refine_bridge
 from noisecalc.physics import (
@@ -50,7 +51,6 @@ from noisecalc.solvers import (
     hitting_time,
     kinetic_oracle_hitting,
     simulate_ensemble,
-    strong_convergence_order,
 )
 
 LEVELS = tuple(range(10, 17))  # dyadic ladder 2^10 .. 2^16

@@ -454,6 +454,20 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["simulate"], {"model": {"custom": {**_OU["custom"], "x0": 5.0}}, "run": {
         "n_paths": 3, "dt": 0.01, "horizon": 0.1, "boundary": {"reflect": [0.0, 1.0]}}},
                  id="simulate-start-outside-the-reflection-interval"),
+    pytest.param(["integrate", "--seed", "30064771077"], {"integrate": {
+        "base_steps": 8, "levels": 1}},
+                 id="integrate-seed-of-more-than-32-bits"),
+    pytest.param(["simulate"], {"model": _OU, "run": {
+        "n_paths": 3, "dt": 0.01, "horizon": 0.1, "seed": {"master": 30064771077}}},
+                 id="simulate-master-of-more-than-32-bits"),
+    pytest.param(["integrate"], {"integrate": {"phi": "t", "base_steps": 8, "levels": 1}},
+                 id="integrate-phi-reads-t"),
+    pytest.param(["stationary"], {"model": {"custom": {**_OU["custom"], "f": "-x + 5*t"}},
+                                  "stationary": {"n_cells": 16}},
+                 id="stationary-f-reads-t"),
+    pytest.param(["fpe"], {"model": {"custom": {**_OU["custom"], "g": "1 + 0.1*sin(t)"}},
+                           "fpe": {"n_cells": 16, "horizon": 0.1, "snapshot_every": 0.1}},
+                 id="fpe-g-reads-t"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})

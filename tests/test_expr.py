@@ -157,3 +157,17 @@ def test_vector_fn_domain_issues_become_nonfinite():
 def test_free_variables_limited_to_x_t():
     with pytest.raises(xp.ExprSyntaxError):
         xp.parse("y + 1")
+
+
+@pytest.mark.parametrize("src, reads", [
+    ("t", True),
+    ("-t", True),             # under Neg
+    ("x + 2*t", True),        # under Bin, on the right
+    ("t^2 - x", True),        # under Bin, on the left
+    ("exp(-t*x)", True),      # under Call
+    ("x", False),
+    ("-sin(x)^2 / (1 + x)", False),
+    ("3", False),
+])
+def test_reads_t(src, reads):
+    assert xp.reads_t(xp.parse(src)) is reads

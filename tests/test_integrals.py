@@ -7,6 +7,7 @@ from noisecalc.integrals import (
     ConvergenceTable,
     EvaluationRule,
     StepProcess,
+    _euler_path_from_driver,
     backward_regularized,
     convergence_table,
     hk_correction,
@@ -17,7 +18,9 @@ from noisecalc.integrals import (
     realized_variation,
     stochastic_sum,
 )
-from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, VectorPath, generate_brownian
+from noisecalc.paths import (REFINE, SamplePath, SeedSpec, TimeGrid, VectorPath,
+                             generate_brownian, refine_bridge)
+from noisecalc.sde import Interpretation, SdeModel
 
 RULES = (EvaluationRule.LEFT, EvaluationRule.MIDPOINT, EvaluationRule.RIGHT)
 
@@ -360,3 +363,47 @@ def test_convergence_table_with_resimulated_model():
     assert not table.diverged
     gaps = np.abs(np.diff(np.asarray(table.values)))
     assert gaps[-1] < gaps[0]
+
+
+_SMOOTH = SdeModel(f=lambda x, t: -x, g=lambda x, t: 1.0 + 0.25 * np.sin(x),
+                   dgdx=lambda x, t: 0.25 * np.cos(x),
+                   interpretation=Interpretation.ITO, x0=0.5)
+
+
+def _reference_tables(phi, path, levels, seed, rules, model):
+    """The tables of a hand-written ladder: level ``l`` refined from
+    ``seed.child(REFINE, l)`` and summed under each rule."""
+    driver = generate_brownian(path.grid, seed) if model is not None else path
+    steps, vals, bad = [], {r: [] for r in rules}, {r: [] for r in rules}
+    for level in range(levels + 1):
+        if level:
+            driver = refine_bridge(driver, 2, seed.child(REFINE, level))
+        x = _euler_path_from_driver(model, driver) if model is not None else driver
+        steps.append(x.grid.n_steps)
+        for r in rules:
+            v = stochastic_sum(phi, x, x, r)
+            if not np.isfinite(v):
+                bad[r].append(level)
+                v = np.nan
+            vals[r].append(v)
+    return [(r, tuple(steps), tuple(vals[r]), tuple(bad[r])) for r in rules]
+
+
+@pytest.mark.parametrize("phi, path, model, diverged", [
+    (lambda x: x * x, _brownian(64, 31), None, ()),
+    (lambda x: x, SamplePath(TimeGrid.uniform(0.0, 1.0, 2**6), np.zeros(2**6 + 1)), _SMOOTH,
+     ()),
+    # the left rule reads x = 0 at t = 0
+    (lambda x: 1.0 / x, _brownian(32, 32), None, (EvaluationRule.LEFT,)),
+], ids=["brownian", "model", "diverging"])
+@pytest.mark.parametrize("rules", [RULES, RULES[::-1]], ids=["lmr", "rml"])
+def test_convergence_table_equals_a_reference_ladder(phi, path, model, diverged, rules):
+    seed = SeedSpec(2029, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _reference_tables(phi, path, 4, seed, rules, model)
+        got = convergence_table(phi, path, 4, seed, rules, model=model)
+    assert [t.rule for t in got] == list(rules)
+    assert {t.rule for t in got if t.diverged} == set(diverged)
+    for table, (rule, steps, vals, bad) in zip(got, want):
+        assert table.n_steps == steps and table.diverged_levels == bad
+        assert np.array_equal(table.values, vals, equal_nan=True)

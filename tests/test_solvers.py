@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ks_statistic, path_noise
 from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, generate_brownian
+from noisecalc.integrals import strong_convergence_order
 from noisecalc.sde import Interpretation, SdeModel, to_ito
 from noisecalc.solvers import (
     EventKind,
@@ -23,7 +24,6 @@ from noisecalc.solvers import (
     scheme_for,
     simulate_ensemble,
     simulate_path,
-    strong_convergence_order,
     _ou_coefficients,
     _run_engine,
 )

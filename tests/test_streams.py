@@ -181,3 +181,12 @@ def test_experiment_member_runs_draw_from_disjoint_streams(tmp_path, monkeypatch
     for i, a in enumerate(runs):
         for b in runs[i + 1:]:
             assert not a & b
+
+
+def test_seed_words_of_32_bits_or_more_are_rejected():
+    # SeedSequence splits a word >= 2**32 into two, so each of these would
+    # draw SeedSpec(5, 7)'s numbers, or another seed's
+    for args in [(5 + 7 * 2**32,), (5, 7 * 2**32 + 1), (5, 7, (2**32 + 1,))]:
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            SeedSpec(*args)
+    assert SeedSpec(2**32 - 1, 2**32 - 1, (2**32 - 1,)).master == 2**32 - 1

@@ -61,3 +61,24 @@ def test_every_traced_layer_records_a_span(tmp_path):
         t.uninstall()
     recorded = {tracer.NAMES[code] for code in t.name}
     assert set(tracer.NAMES) - recorded <= {"fokker_planck.evolve"}
+
+
+def test_integrate_refines_one_ladder_for_every_rule(tmp_path):
+    """One table call per job, and one bridge refinement per level however
+    many rules are summed; a ladder that bypasses ``integrals.refine_bridge``
+    would record no ``paths.bridge`` span."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"integrate": {
+        "base_steps": 8, "levels": 2, "rules": ["left", "midpoint", "right"]}}),
+        encoding="utf-8")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.current_job = 0
+        assert cli.main(["integrate", "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+    finally:
+        t.uninstall()
+    names = [tracer.NAMES[code] for code in t.name]
+    assert names.count("paths.bridge") == 2
+    assert names.count("integrals.table") == 1
