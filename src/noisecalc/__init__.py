@@ -61,4 +61,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -53,8 +53,8 @@ from .physics import (
     rest_start_diagnostics,
 )
 from .sde import EvaluationRule, Interpretation, SdeModel, from_ito, to_ito
-from .solvers import (McConfig, NumericError, Reflect, STOP_ON_VIOLATION, SolverScheme,
-                      simulate_ensemble)
+from .solvers import (Boundary, McConfig, NumericError, Reflect, STOP_ON_VIOLATION,
+                      SolverScheme, _check_record, simulate_ensemble)
 
 __all__ = ["main", "ConfigError", "NumericError"]
 
@@ -241,17 +241,19 @@ def _build_model(cfg: dict, command: str) -> SdeModel:
     return trio.member(interp)
 
 
+def _boundary_from(cfg: dict) -> Boundary:
+    boundary = _block(cfg, "run").get("boundary")
+    if isinstance(boundary, dict):
+        return _reflect_from(_block(cfg, "run.boundary"))
+    if boundary in ("stop", STOP_ON_VIOLATION):
+        return STOP_ON_VIOLATION
+    if boundary not in (None, "none"):
+        raise ConfigError(f"unknown boundary {boundary!r}")
+    return None
+
+
 def _mc_config(cfg: dict, args) -> McConfig:
     run = _block(cfg, "run")
-    boundary = run.get("boundary")
-    if isinstance(boundary, dict):
-        boundary = _reflect_from(_block(cfg, "run.boundary"))
-    elif boundary in ("stop", STOP_ON_VIOLATION):
-        boundary = STOP_ON_VIOLATION
-    elif boundary not in (None, "none"):
-        raise ConfigError(f"unknown boundary {boundary!r}")
-    elif boundary == "none":
-        boundary = None
     # the config's numbers are checked also when a flag replaces them
     n_paths = _num(run.get("n_paths", 100), "run.n_paths", int)
     dt = _num(run.get("dt", 1e-3), "run.dt")
@@ -260,9 +262,6 @@ def _mc_config(cfg: dict, args) -> McConfig:
         dt=dt if args.dt is None else _num(args.dt, "--dt"),
         horizon=_num(run.get("horizon", 1.0), "run.horizon"),
         seed=_seed_from(cfg, args.seed),
-        boundary=boundary,
-        record=run.get("record", "path"),
-        record_stride=_num(run.get("record_stride", 1), "run.record_stride", int),
     )
 
 
@@ -382,12 +381,17 @@ def _cmd_convert(cfg: dict, args) -> str:
 
 def _cmd_simulate(cfg: dict, args) -> str:
     model = _build_model(cfg, args.command)
+    run = _block(cfg, "run")
+    boundary = _boundary_from(cfg)
     mc = _mc_config(cfg, args)
+    record = run.get("record", "path")
+    stride = _num(run.get("record_stride", 1), "run.record_stride", int)
+    _check_record(record, stride)
     if mc.n_paths > 1:  # histories and events only shape path.csv, written for one path
-        mc = replace(mc, record="terminal")
+        record = "terminal"
     scheme = _scheme_from(cfg)
     out = _out_dir(cfg, args)
-    result = simulate_ensemble(model, scheme, mc)
+    result = simulate_ensemble(model, scheme, mc, boundary, record, stride)
     summary = result.summary
     if not (math.isfinite(summary.terminal_mean) or summary.n_completed == 0):
         raise NumericError("non-finite ensemble statistics")
@@ -492,7 +496,8 @@ def _cmd_experiment(cfg: dict, args) -> str:
         horizon=_num(hit.get("horizon", 5.0), "experiment.hitting.horizon"),
         seed=seed,
     )
-    report = rest_start_diagnostics(rest_trio, dt, n_seeds, seed=seed, horizon=horizon)
+    rest_cfg = McConfig(n_paths=n_seeds, dt=dt, horizon=horizon, seed=seed)
+    report = rest_start_diagnostics(rest_trio, rest_cfg)
     hitting = boundary_hitting_study(run_trio, level, band, hit_cfg)
 
     members = []

@@ -11,7 +11,8 @@ Limits "in probability" are operationalized as dyadic refinement of one
 fixed path (bridge-consistent), reported as a :class:`ConvergenceTable`;
 ensemble quantiles over seeds quantify the distributional statements.
 One ladder, :func:`_ladder`, refines the convergence tables' paths, once
-for all rules, and the shared drivers of :func:`strong_convergence_order`.
+for all rules, and the shared drivers of :func:`strong_convergence_order`,
+whose levels are its run spec's step halved again and again.
 """
 from __future__ import annotations
 
@@ -217,37 +218,29 @@ def hk_integral(
 def strong_convergence_order(
     model: SdeModel,
     scheme: SolverScheme,
-    dts: Sequence[float],
     cfg: McConfig,
+    levels: int,
 ) -> float:
     """Least-squares slope of log strong error at the horizon vs log dt.
 
-    ``dts`` must be strictly decreasing with dyadic ratios.  The driving
-    noise is shared across resolutions: path ``p`` of the ensemble is one
-    coarse Brownian path seeded ``cfg.seed.shifted(p)`` and its
+    The ``levels`` steps are ``cfg.dt``, halved ``levels - 1`` times.  The
+    driving noise is shared across resolutions: path ``p`` of the ensemble
+    is one coarse Brownian path seeded ``cfg.seed.shifted(p)`` and its
     :func:`_ladder` under the same seed.  The reference is the same scheme
-    on a grid 16 times finer than the finest level.
+    on a grid 16 times finer than the finest level.  No boundary policy
+    applies.
     """
-    dts = list(dts)
-    if len(dts) < 3:
+    if levels < 3:
         raise ValueError("need at least 3 dt levels")
-    for a, b in zip(dts, dts[1:]):
-        r = round(a / b) if b < a else 0
-        if r < 2 or r & (r - 1) or abs(a / b - r) > 1e-9:
-            raise ValueError("dts must strictly decrease, each by a power of two")
-
     T = cfg.horizon
-    n_levels = [round(T / dt) for dt in dts]
-    if abs(T / n_levels[0] - dts[0]) > 1e-12 * max(1.0, T):
-        raise ValueError("horizon must be an integer multiple of the coarsest dt")
+    n_levels = [cfg.n_steps << i for i in range(levels)]
     n_ref = n_levels[-1] * 16
-    depth = (n_ref // n_levels[0]).bit_length() - 1  # the ratio is a power of two
-
     ladders: dict[int, list[np.ndarray]] = {n: [] for n in n_levels + [n_ref]}
     grid0 = TimeGrid.uniform(0.0, T, n_levels[0])
     for p in range(cfg.n_paths):
         seed = cfg.seed.shifted(p)
-        for w in _ladder(generate_brownian(grid0, seed), depth, seed):
+        # levels - 1 halvings to the finest level, then 16 = 2**4 to the reference
+        for w in _ladder(generate_brownian(grid0, seed), levels + 3, seed):
             if w.grid.n_steps in ladders:
                 ladders[w.grid.n_steps].append(w.increments())
     x_end = {n: _run_engine(model, scheme, np.arange(n + 1) * (T / n), cfg.n_paths,
@@ -255,6 +248,7 @@ def strong_convergence_order(
     errs = [float(np.mean(np.abs(x_end[n] - x_end[n_ref]))) for n in n_levels]
     if any(e <= 0 for e in errs):
         raise ValueError("zero strong error: a level coincides with the reference")
+    dts = [cfg.dt / 2**i for i in range(levels)]
     slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(errs)), 1)[0]
     return float(slope)
 

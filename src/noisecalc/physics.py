@@ -16,11 +16,14 @@ the Ito member is pushed inward (the boundary reflects instantaneously),
 the Stratonovich member admits the frozen solution, and the
 Hanggi-Klimontovich member either points out of the domain (single
 particle, relativistic) or is absorbed (two particles).
+
+Both studies run all three members from one :class:`McConfig`; a member's
+boundary policy follows from its interpretation, not from the caller.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,6 +32,7 @@ from .paths import (HITTING, REST_START, SamplePath, SeedSpec, TimeGrid, _check_
                     generate_brownian_vector)
 from .sde import Interpretation, SdeModel, finite_diff_gprime
 from .solvers import (
+    Boundary,
     HittingStats,
     McConfig,
     Reflect,
@@ -62,8 +66,8 @@ FAMILIES = ("langevin1", "langevin2", "relativistic")
 class LangevinParams:
     """Mass, friction, and thermal noise amplitude of a Langevin particle.
 
-    ``u0`` is the second particle's initial velocity, used only by the
-    two-particle family.
+    ``u0`` is the second particle's initial velocity: the two-particle
+    family needs it, and the one-particle family rejects it.
     """
 
     m: float = 1.0
@@ -81,8 +85,8 @@ class RelativisticParams:
     """Rest mass plus energy-dependent friction and noise amplitudes.
 
     ``alpha_hat`` and ``d_hat`` are functions of the energy, positive on
-    [M, inf); ``d_hat_prime`` is the optional analytic derivative of
-    ``d_hat`` (finite differences otherwise).  Natural units, c = 1.
+    [M, inf); ``d_hat_prime`` is the optional analytic derivative of a
+    given ``d_hat`` (finite differences otherwise).  Natural units, c = 1.
     """
 
     M: float = 1.0
@@ -97,9 +101,10 @@ class RelativisticParams:
         if self.alpha_hat is None:
             object.__setattr__(self, "alpha_hat", lambda e: np.ones_like(np.asarray(e, dtype=float)))
         if self.d_hat is None:
+            if self.d_hat_prime is not None:
+                raise ValueError("d_hat_prime needs the d_hat it is the derivative of")
             object.__setattr__(self, "d_hat", lambda e: np.ones_like(np.asarray(e, dtype=float)))
-            if self.d_hat_prime is None:
-                object.__setattr__(self, "d_hat_prime", lambda e: np.zeros_like(np.asarray(e, dtype=float)))
+            object.__setattr__(self, "d_hat_prime", lambda e: np.zeros_like(np.asarray(e, dtype=float)))
 
     @property
     def e0(self) -> float:
@@ -160,7 +165,9 @@ def _kinetic_family(params: LangevinParams, delta: int, x0: float) -> Interpreta
 
 def kinetic_models(params: LangevinParams) -> InterpretationTriple:
     """Kinetic energy of one Langevin particle, ``K = m v^2 / 2``: the
-    kinetic family at delta = 1."""
+    kinetic family at delta = 1.  A second velocity ``u0`` is rejected."""
+    if params.u0 is not None:
+        raise ValueError("one-particle family takes no u0")
     return _kinetic_family(params, 1, 0.5 * params.m * params.v0**2)
 
 
@@ -315,29 +322,16 @@ class RestStartReport:
         raise KeyError(interpretation)
 
 
-def _member_config(model: SdeModel, n_paths: int, dt: float, horizon: float,
-                   seed: SeedSpec) -> McConfig:
-    """Run of one member, seeded ``seed.child(study, member)`` by the caller
-    (the key words are in :mod:`noisecalc.paths`), so no two members or
-    studies share noise, whatever n_paths.
-
-    Ito and Stratonovich members reflect at the domain edge; the HK member
-    stops on violation, so an escape is observed rather than masked.
-    """
+def _member_boundary(model: SdeModel) -> Boundary:
+    """Boundary policy of one member in both studies: Ito and Stratonovich
+    members reflect at the domain edge; the HK member stops on violation,
+    so an escape is observed rather than masked."""
     if model.interpretation is Interpretation.HAENGGI_KLIMONTOVICH:
-        boundary = STOP_ON_VIOLATION
-    else:
-        boundary = Reflect(*model.domain)
-    return McConfig(n_paths=n_paths, dt=dt, horizon=horizon, seed=seed, boundary=boundary)
+        return STOP_ON_VIOLATION
+    return Reflect(*model.domain)
 
 
-def rest_start_diagnostics(
-    trio: InterpretationTriple,
-    dt: float,
-    n_seeds: int,
-    seed: SeedSpec = SeedSpec(0),
-    horizon: float = 1.0,
-) -> RestStartReport:
+def rest_start_diagnostics(trio: InterpretationTriple, cfg: McConfig) -> RestStartReport:
     """Boundary-start comparison across the three interpretations.
 
     Each member runs its own direct scheme.  The Ito and Stratonovich
@@ -348,22 +342,22 @@ def rest_start_diagnostics(
     deterministic first-step drift contribution, the fraction of paths
     with a domain violation, the fraction strictly inside the open domain
     at the horizon, and the fraction that never left the starting point.
-    Member ``k`` (Ito, Stratonovich, HK) runs seeded
-    ``seed.child(REST_START, k)``.
+    Member ``k`` (Ito, Stratonovich, HK) runs ``cfg.n_paths`` paths seeded
+    ``cfg.seed.child(REST_START, k)`` (the key words are in
+    :mod:`noisecalc.paths`), so no two members or studies share noise.
     """
     members = []
     for k, model in enumerate(trio.members()):
         scheme = scheme_for(model.interpretation)
         lo, hi = model.domain
-        cfg = _member_config(model, n_seeds, dt, horizon, seed.child(REST_START, k))
-        raw = _run_engine(model, scheme, cfg.times(), cfg.n_paths, cfg.seed,
-                          cfg.boundary, record="terminal")
+        raw = _run_engine(model, scheme, cfg.times(), cfg.n_paths,
+                          cfg.seed.child(REST_START, k), _member_boundary(model))
         interior = raw.completed & (raw.terminal > lo) & (raw.terminal < hi)
         stuck = raw.completed & ~raw.moved
         members.append(MemberDiagnostics(
             interpretation=model.interpretation,
             scheme=scheme,
-            first_step_drift=float(model.f(model.x0, 0.0)) * dt,
+            first_step_drift=float(model.f(model.x0, 0.0)) * cfg.dt,
             violation_fraction=float((raw.violations > 0).mean()),
             interior_fraction=float(interior.mean()),
             stuck_fraction=float(stuck.mean()),
@@ -385,8 +379,8 @@ def boundary_hitting_study(
     """
     out: dict[Interpretation, HittingStats] = {}
     for k, model in enumerate(trio.members()):
-        member_cfg = _member_config(model, cfg.n_paths, cfg.dt, cfg.horizon,
-                                    cfg.seed.child(HITTING, k))
+        member_cfg = replace(cfg, seed=cfg.seed.child(HITTING, k))
         out[model.interpretation] = hitting_time(
-            model, scheme_for(model.interpretation), level, band, member_cfg)
+            model, scheme_for(model.interpretation), level, band, member_cfg,
+            _member_boundary(model))
     return out

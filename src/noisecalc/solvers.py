@@ -21,9 +21,11 @@ closed domain by more than 1e-12 is a DomainViolation (stop, or
 flag-and-clamp under boundary ``None``); within tolerance it is clamped to
 the edge, which distinguishes genuine boundary pathologies from rounding.
 Reflection folds the state back into the interval and logs each fold.
-The boundary policy is checked once, by the engine, for every run: it is
-``None``, :data:`STOP_ON_VIOLATION` or a :class:`Reflect` interval that lies
-in the domain and contains the start.
+A :class:`McConfig` holds paths, step, horizon and seed; the boundary
+policy and the record mode are parameters of the functions that read them,
+checked once, by the engine, for every run: the boundary is ``None``,
+:data:`STOP_ON_VIOLATION` or a :class:`Reflect` interval that lies in the
+domain and contains the start.
 
 Ensembles are vectorized across paths.  Path ``i`` of a run seeded
 ``(master, stream, key)`` draws its noise through
@@ -135,6 +137,14 @@ def _check_boundary(boundary: Boundary) -> None:
         raise ValueError(f"unknown boundary mode {boundary!r}")
 
 
+def _check_record(record: str, record_stride: int) -> None:
+    """Accept ``"path"`` or ``"terminal"``, and a stride of at least one."""
+    if record not in ("path", "terminal"):
+        raise ValueError(f"unknown record mode {record!r}")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+
+
 class EventKind(enum.Enum):
     DOMAIN_VIOLATION = "domain_violation"
     REFLECTION = "reflection"
@@ -183,20 +193,14 @@ class HittingStats:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Ensemble run configuration.
-
-    ``record`` chooses what each path keeps: ``"path"`` stores values every
-    ``record_stride`` steps, ``"terminal"`` keeps only endpoints (use this
-    for large ensembles).
-    """
+    """Run spec: ``n_paths`` paths of ``horizon / dt`` steps, path ``i``
+    seeded as path number ``stream + i`` of ``seed``.  Every function that
+    takes one reads all four fields."""
 
     n_paths: int
     dt: float
     horizon: float
     seed: SeedSpec
-    boundary: Boundary = None
-    record: str = "path"
-    record_stride: int = 1
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
@@ -205,11 +209,6 @@ class McConfig:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least one step")
-        if self.record not in ("path", "terminal"):
-            raise ValueError(f"unknown record mode {self.record!r}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        _check_boundary(self.boundary)
         steps = self.horizon / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"horizon {self.horizon} is not a whole number of "
@@ -347,6 +346,7 @@ def _run_engine(
     lo, hi = model.domain
     x0 = float(model.x0)
     _check_boundary(boundary)
+    _check_record(record, record_stride)
     if isinstance(boundary, Reflect):
         if boundary.lo < lo - _DOMAIN_TOL or boundary.hi > hi + _DOMAIN_TOL:
             raise ValueError("reflection interval must lie inside the model domain")
@@ -547,12 +547,22 @@ def _summarize(model, scheme, cfg, raw) -> EnsembleSummary:
     )
 
 
-def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> EnsembleResult:
+def simulate_ensemble(
+    model: SdeModel,
+    scheme: SolverScheme,
+    cfg: McConfig,
+    boundary: Boundary = None,
+    record: str = "path",
+    record_stride: int = 1,
+) -> EnsembleResult:
     """Independent paths numbered ``stream + i`` of ``cfg.seed``.
 
-    Domain violations and reflections are events of their path and never
-    abort the ensemble; the summary is a pure function of
-    ``(model, scheme, cfg)`` regardless of execution interleaving.  A path
+    ``record`` chooses what each path keeps: ``"path"`` stores values every
+    ``record_stride`` steps, ``"terminal"`` keeps only endpoints (use this
+    for large ensembles).  Domain violations and reflections are events of
+    their path and never abort the ensemble; the summary is a pure function
+    of ``(model, scheme, cfg, boundary)`` regardless of execution
+    interleaving and of what is recorded.  A path
     that diverges to a non-finite value is not an event: with
     ``record="terminal"`` its terminal is non-finite (and so is the
     summary's mean), and with ``record="path"`` the run raises
@@ -561,11 +571,11 @@ def simulate_ensemble(model: SdeModel, scheme: SolverScheme, cfg: McConfig) -> E
     """
     times = cfg.times()
     raw = _run_engine(
-        model, scheme, times, cfg.n_paths, cfg.seed, cfg.boundary,
-        record=cfg.record, record_stride=cfg.record_stride,
+        model, scheme, times, cfg.n_paths, cfg.seed, boundary,
+        record=record, record_stride=record_stride,
     )
     results = None
-    if cfg.record == "path":
+    if record == "path":
         results = tuple(_path_result(raw, times, i) for i in range(cfg.n_paths))
     return EnsembleResult(results, _summarize(model, scheme, cfg, raw),
                           raw.terminal[raw.completed].copy())
@@ -577,6 +587,7 @@ def hitting_time(
     level: float,
     band: float,
     cfg: McConfig,
+    boundary: Boundary = None,
 ) -> HittingStats:
     """First-passage statistics of the band around ``level``.
 
@@ -588,8 +599,8 @@ def hitting_time(
         raise ValueError("band must be positive")
     times = cfg.times()
     raw = _run_engine(
-        model, scheme, times, cfg.n_paths, cfg.seed, cfg.boundary,
-        record="terminal", hit_level=level, hit_band=band,
+        model, scheme, times, cfg.n_paths, cfg.seed, boundary,
+        hit_level=level, hit_band=band,
     )
     return _hitting_stats(level, band, cfg.n_paths, raw.hit_time)
 

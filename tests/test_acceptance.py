@@ -212,12 +212,12 @@ def test_criterion_05_conversion_rule():
     n = 4000
     direct = simulate_ensemble(
         hk, SolverScheme.DIRECT_RIGHT_PREDICTOR_CORRECTOR,
-        McConfig(n_paths=n, dt=1e-3, horizon=1.0, seed=SeedSpec(1234),
-                 record="terminal")).summary
+        McConfig(n_paths=n, dt=1e-3, horizon=1.0, seed=SeedSpec(1234)),
+        record="terminal").summary
     converted = simulate_ensemble(
         hk, SolverScheme.EULER_MARUYAMA_ITO_FORM,
-        McConfig(n_paths=n, dt=1e-3, horizon=1.0, seed=SeedSpec(1234, 100_000),
-                 record="terminal")).summary
+        McConfig(n_paths=n, dt=1e-3, horizon=1.0, seed=SeedSpec(1234, 100_000)),
+        record="terminal").summary
     gap = abs(direct.terminal_mean - converted.terminal_mean)
     pooled = math.sqrt(direct.terminal_var / n + converted.terminal_var / n)
     ok = round_trip_ok and gap < 3 * pooled
@@ -241,9 +241,9 @@ def test_criterion_06_stationary_law():
     # pooled to exactly 2e5 samples
     model = SdeModel(f=OU_F, g=OU_G, dgdx=OU_GP,
                      interpretation=Interpretation.ITO, x0=0.0)
-    cfg = McConfig(n_paths=100, dt=5e-3, horizon=205.0, seed=SeedSpec(606),
-                   boundary=Reflect(-3.0, 3.0), record="path", record_stride=20)
-    ens = simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg)
+    cfg = McConfig(n_paths=100, dt=5e-3, horizon=205.0, seed=SeedSpec(606))
+    ens = simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg, Reflect(-3.0, 3.0),
+                            record="path", record_stride=20)
     pool = np.concatenate([
         pr.path.values[pr.path.grid.points > 5.0] for pr in ens.results
     ])
@@ -310,14 +310,12 @@ def test_criterion_08_fpe_lyapunov():
 def test_criterion_09_hitting_dichotomy():
     # delta = 1: EM vs exact oracle at the pinned scale
     single = kinetic_models(LangevinParams(v0=1.0))
-    cfg = McConfig(n_paths=10_000, dt=1e-4, horizon=20.0, seed=SeedSpec(2718),
-                   boundary=Reflect(0.0), record="terminal")
+    cfg = McConfig(n_paths=10_000, dt=1e-4, horizon=20.0, seed=SeedSpec(2718))
     em = hitting_time(single.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM,
-                      0.0, 1e-4, cfg)
+                      0.0, 1e-4, cfg, Reflect(0.0))
     oracle = kinetic_oracle_hitting(
         1, 1, 1, 1, [1.0], 0.0, 1e-4,
-        McConfig(n_paths=10_000, dt=1e-4, horizon=20.0, seed=SeedSpec(2719),
-                 record="terminal"))
+        McConfig(n_paths=10_000, dt=1e-4, horizon=20.0, seed=SeedSpec(2719)))
     frac_gap = abs(em.fraction_hit - oracle.fraction_hit)
     ci_rel = em.ci95 / em.mean_hit_time
 
@@ -329,10 +327,9 @@ def test_criterion_09_hitting_dichotomy():
                                                 u0=math.sqrt(0.5)))
     fracs = {}
     for band in (1e-5, 1e-6):
-        cfg2 = McConfig(n_paths=2000, dt=1e-2, horizon=20.0, seed=SeedSpec(31415),
-                        boundary=Reflect(0.0), record="terminal")
+        cfg2 = McConfig(n_paths=2000, dt=1e-2, horizon=20.0, seed=SeedSpec(31415))
         fracs[band] = hitting_time(double.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM,
-                                   0.0, band, cfg2).fraction_hit
+                                   0.0, band, cfg2, Reflect(0.0)).fraction_hit
     ok = (frac_gap <= 0.03 and ci_rel < 0.05
           and fracs[1e-6] < 0.01 and fracs[1e-6] <= fracs[1e-5])
     check(9, "single-particle energy reaches the origin, two-particle stays up",
@@ -347,7 +344,8 @@ def test_criterion_10_rest_start_triptych():
     rel = relativistic_models(RelativisticParams(p0=0.0))
     for name, trio, seed in (("single", single, SeedSpec(160)),
                              ("relativistic", rel, SeedSpec(161))):
-        rep = rest_start_diagnostics(trio, dt=1e-3, n_seeds=1000, seed=seed)
+        rep = rest_start_diagnostics(
+            trio, McConfig(n_paths=1000, dt=1e-3, horizon=1.0, seed=seed))
         ito = rep.member(Interpretation.ITO)
         strat = rep.member(Interpretation.STRATONOVICH)
         hk = rep.member(Interpretation.HAENGGI_KLIMONTOVICH)
@@ -356,7 +354,8 @@ def test_criterion_10_rest_start_triptych():
         details.append(f"{name}: hk viol {hk.violation_fraction:.3f}")
 
     pair = two_particle_models(LangevinParams(v0=0.0, u0=0.0))
-    rep = rest_start_diagnostics(pair, dt=1e-3, n_seeds=1000, seed=SeedSpec(162))
+    rep = rest_start_diagnostics(
+        pair, McConfig(n_paths=1000, dt=1e-3, horizon=1.0, seed=SeedSpec(162)))
     ok = ok and rep.member(Interpretation.ITO).interior_fraction == 1.0 \
         and rep.member(Interpretation.STRATONOVICH).interior_fraction == 1.0 \
         and rep.member(Interpretation.HAENGGI_KLIMONTOVICH).stuck_fraction == 1.0
@@ -412,10 +411,8 @@ def test_criterion_14_strong_order():
         / np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2),
         interpretation=Interpretation.ITO, x0=1.0,
     )
-    cfg = McConfig(n_paths=256, dt=1e-2, horizon=1.0, seed=SeedSpec(99))
-    slope = strong_convergence_order(
-        model, SolverScheme.EULER_MARUYAMA_ITO_FORM,
-        [1 / 64, 1 / 128, 1 / 256, 1 / 512], cfg)
+    cfg = McConfig(n_paths=256, dt=1 / 64, horizon=1.0, seed=SeedSpec(99))
+    slope = strong_convergence_order(model, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg, 4)
     ok = 0.4 <= slope <= 0.6
     check(14, "Euler strong order one half on a Lipschitz model", ok,
           f"slope {slope:.3f}")

@@ -160,9 +160,9 @@ def test_simulate_records_histories_only_for_path_csv(tmp_path, monkeypatch, n_p
     seen = []
     run = cli.simulate_ensemble
 
-    def spy(model, scheme, mc):
-        seen.append(mc.record)
-        return run(model, scheme, mc)
+    def spy(model, scheme, mc, boundary, record, record_stride):
+        seen.append(record)
+        return run(model, scheme, mc, boundary, record, record_stride)
 
     monkeypatch.setattr(cli, "simulate_ensemble", spy)
     payload = {
@@ -468,6 +468,15 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["fpe"], {"model": {"custom": {**_OU["custom"], "g": "1 + 0.1*sin(t)"}},
                            "fpe": {"n_cells": 16, "horizon": 0.1, "snapshot_every": 0.1}},
                  id="fpe-g-reads-t"),
+    pytest.param(["simulate"], {"model": {"family": "langevin1", "params": {"v0": 1, "u0": 5}},
+                                "run": {"n_paths": 1, "dt": 0.01, "horizon": 0.1}},
+                 id="langevin1-u0"),
+    pytest.param(["simulate"], {"model": _OU, "run": {
+        "n_paths": 5, "dt": 0.01, "horizon": 0.1, "record": "bogus"}},
+                 id="simulate-unknown-record-mode-of-five-paths"),
+    pytest.param(["simulate"], {"model": _OU, "run": {
+        "n_paths": 5, "dt": 0.01, "horizon": 0.1, "record_stride": 0}},
+                 id="simulate-zero-record-stride-of-five-paths"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import ks_statistic
-from noisecalc.integrals import realized_variation
+from noisecalc.integrals import realized_variation, strong_convergence_order
 from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, generate_brownian
 from noisecalc.physics import (
     InterpretationTriple,
@@ -19,13 +20,15 @@ from noisecalc.physics import (
     rest_start_diagnostics,
     two_particle_models,
 )
-from noisecalc.sde import Interpretation, from_ito, to_ito
+from noisecalc.sde import Interpretation, SdeModel, from_ito, to_ito
 from noisecalc.solvers import (
     EventKind,
     McConfig,
     Reflect,
     SolverScheme,
     exact_kinetic_terminal,
+    hitting_time,
+    kinetic_oracle_hitting,
     simulate_ensemble,
     simulate_path,
 )
@@ -143,7 +146,8 @@ def test_composite_noise_requires_shared_grid():
 
 def test_rest_start_triptych_single_particle():
     trio = kinetic_models(LangevinParams(v0=0.0))
-    rep = rest_start_diagnostics(trio, dt=1e-3, n_seeds=300, seed=SeedSpec(16))
+    rep = rest_start_diagnostics(
+        trio, McConfig(n_paths=300, dt=1e-3, horizon=1.0, seed=SeedSpec(16)))
     ito = rep.member(Interpretation.ITO)
     strat = rep.member(Interpretation.STRATONOVICH)
     hk = rep.member(Interpretation.HAENGGI_KLIMONTOVICH)
@@ -157,7 +161,8 @@ def test_rest_start_triptych_single_particle():
 
 def test_rest_start_triptych_two_particles():
     trio = two_particle_models(LangevinParams(v0=0.0, u0=0.0))
-    rep = rest_start_diagnostics(trio, dt=1e-3, n_seeds=300, seed=SeedSpec(17))
+    rep = rest_start_diagnostics(
+        trio, McConfig(n_paths=300, dt=1e-3, horizon=1.0, seed=SeedSpec(17)))
     assert rep.member(Interpretation.ITO).interior_fraction == 1.0
     assert rep.member(Interpretation.STRATONOVICH).interior_fraction == 1.0
     assert rep.member(Interpretation.HAENGGI_KLIMONTOVICH).stuck_fraction == 1.0
@@ -165,7 +170,8 @@ def test_rest_start_triptych_two_particles():
 
 def test_rest_start_triptych_relativistic():
     trio = relativistic_models(RelativisticParams(p0=0.0))
-    rep = rest_start_diagnostics(trio, dt=1e-3, n_seeds=300, seed=SeedSpec(18))
+    rep = rest_start_diagnostics(
+        trio, McConfig(n_paths=300, dt=1e-3, horizon=1.0, seed=SeedSpec(18)))
     assert rep.member(Interpretation.ITO).interior_fraction == 1.0
     assert rep.member(Interpretation.STRATONOVICH).stuck_fraction == 1.0
     assert rep.member(Interpretation.HAENGGI_KLIMONTOVICH).violation_fraction >= 0.99
@@ -188,17 +194,16 @@ def test_em_on_ito_kinetic_matches_oracle_law():
     # terminal-distribution agreement at full scale: dt=1e-4, n=1e4, T=1
     trio = kinetic_models(LangevinParams(v0=1.0))
     n = 10_000
-    cfg = McConfig(n_paths=n, dt=1e-4, horizon=1.0, seed=SeedSpec(1618),
-                   boundary=Reflect(0.0), record="terminal")
-    ens = simulate_ensemble(trio.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg)
+    cfg = McConfig(n_paths=n, dt=1e-4, horizon=1.0, seed=SeedSpec(1618))
+    ens = simulate_ensemble(trio.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg,
+                            Reflect(0.0), record="terminal")
     oracle = exact_kinetic_terminal(1, 1, 1, 1, [1.0], 1.0, n, SeedSpec(1619))
     assert ks_statistic(ens.terminals, oracle) < 0.03
 
 
 def test_boundary_hitting_study_returns_all_members():
     trio = kinetic_models(LangevinParams(v0=1.0))
-    cfg = McConfig(n_paths=50, dt=1e-3, horizon=2.0, seed=SeedSpec(20),
-                   record="terminal")
+    cfg = McConfig(n_paths=50, dt=1e-3, horizon=2.0, seed=SeedSpec(20))
     out = boundary_hitting_study(trio, 0.0, 1e-3, cfg)
     assert set(out) == set(Interpretation)
     for stats in out.values():
@@ -212,6 +217,45 @@ def test_langevin_params_validated():
         two_particle_models(LangevinParams(v0=1.0))  # missing u0
     with pytest.raises(ValueError):
         RelativisticParams(M=-1.0)
+
+
+def test_relativistic_d_hat_prime_needs_its_d_hat():
+    # d_hat_prime = e/2 beside the default constant d_hat would give the
+    # Stratonovich drift -1.125 at E = 2, where constant noise gives -1.5
+    with pytest.raises(ValueError, match="d_hat_prime"):
+        RelativisticParams(d_hat_prime=lambda e: 0.5 * np.asarray(e, dtype=float))
+    assert float(relativistic_models(RelativisticParams()).stratonovich.f(2.0, 0.0)) == -1.5
+
+
+def test_every_run_spec_field_changes_every_result():
+    """Each function that takes a McConfig reads its path count, step,
+    horizon and seed: changing any one of them changes the result."""
+    walk = SdeModel(f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+                    g=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
+                    interpretation=Interpretation.ITO, x0=0.5)
+    smooth = SdeModel(f=lambda x, t: -np.asarray(x, dtype=float),
+                      g=lambda x, t: np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2),
+                      interpretation=Interpretation.ITO, x0=1.0)
+    trio = kinetic_models(LangevinParams(v0=1.0))
+    runs = {
+        "hitting_time": lambda c: hitting_time(walk, SolverScheme.DIRECT_LEFT, 0.0, 0.05, c),
+        "kinetic_oracle_hitting": lambda c: kinetic_oracle_hitting(
+            1, 1, 1, 1, [1.0], 0.0, 0.05, c),
+        "boundary_hitting_study": lambda c: boundary_hitting_study(trio, 0.0, 0.05, c),
+        "rest_start_diagnostics": lambda c: rest_start_diagnostics(trio, c),
+        "strong_convergence_order": lambda c: strong_convergence_order(
+            smooth, SolverScheme.EULER_MARUYAMA_ITO_FORM, c, 3),
+    }
+    base = McConfig(n_paths=4, dt=0.125, horizon=1.0, seed=SeedSpec(1))
+    variants = {"n_paths": replace(base, n_paths=5), "dt": replace(base, dt=0.0625),
+                "horizon": replace(base, horizon=2.0),
+                "seed": replace(base, seed=SeedSpec(1001))}
+    # the base runs are not degenerate: some walks hit, some do not
+    assert 0 < runs["hitting_time"](base).n_hit < base.n_paths
+    assert 0 < rest_start_diagnostics(trio, base).members[2].violation_fraction < 1
+    same = [(name, field) for name, run in runs.items() for field, cfg in variants.items()
+            if run(cfg) == run(base)]
+    assert same == []
 
 
 def test_relativistic_finite_difference_d_prime_matches_analytic():

@@ -114,9 +114,9 @@ def test_ensemble_order_independence():
 def test_ensemble_terminal_mean_matches_kinetic_oracle():
     trio = kinetic_models(LangevinParams(v0=1.0))
     n = 3000
-    cfg = McConfig(n_paths=n, dt=1e-3, horizon=5.0, seed=SeedSpec(23),
-                   boundary=Reflect(0.0), record="terminal")
-    ens = simulate_ensemble(trio.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg)
+    cfg = McConfig(n_paths=n, dt=1e-3, horizon=5.0, seed=SeedSpec(23))
+    ens = simulate_ensemble(trio.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg,
+                            Reflect(0.0), record="terminal")
     oracle = exact_kinetic_terminal(1, 1, 1, 1, [1.0], 5.0, n, SeedSpec(24))
     se = math.sqrt(ens.summary.terminal_var / n + oracle.var(ddof=1) / n)
     assert abs(ens.summary.terminal_mean - oracle.mean()) < 2 * se
@@ -132,7 +132,7 @@ def test_reflected_first_step_fold_arithmetic():
     z = path_noise(seed, 1, 1)[0, 0]
     assert z > 0  # chosen stream; first draw is positive
     dt = 0.04
-    cfg = McConfig(n_paths=1, dt=dt, horizon=dt, seed=seed, boundary=Reflect(-1.0, b))
+    cfg = McConfig(n_paths=1, dt=dt, horizon=dt, seed=seed)
     res = simulate_path(m, SolverScheme.DIRECT_LEFT, TimeGrid(cfg.times()), cfg.seed,
                         Reflect(-1.0, b))
     dw = math.sqrt(dt) * z
@@ -164,12 +164,11 @@ def test_reflected_requires_x0_inside():
 
 def test_every_run_rejects_a_start_outside_the_reflection_interval():
     m = _smooth_model(x0=5.0)
-    cfg = McConfig(n_paths=4, dt=0.01, horizon=0.1, seed=SeedSpec(33),
-                   boundary=Reflect(-1.0, 1.0))
+    cfg = McConfig(n_paths=4, dt=0.01, horizon=0.1, seed=SeedSpec(33))
     with pytest.raises(ValueError, match="x0=5.0 outside the reflection interval"):
-        simulate_ensemble(m, SolverScheme.DIRECT_LEFT, cfg)
+        simulate_ensemble(m, SolverScheme.DIRECT_LEFT, cfg, Reflect(-1.0, 1.0))
     with pytest.raises(ValueError, match="x0=5.0 outside the reflection interval"):
-        hitting_time(m, SolverScheme.DIRECT_LEFT, 0.0, 1e-3, cfg)
+        hitting_time(m, SolverScheme.DIRECT_LEFT, 0.0, 1e-3, cfg, Reflect(-1.0, 1.0))
 
 
 def test_simulate_path_rejects_an_unknown_boundary_mode():
@@ -183,7 +182,7 @@ def test_hitting_level_above_start_with_negative_drift():
     m = SdeModel(f=lambda x, t: -np.ones_like(np.asarray(x, dtype=float)),
                  g=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                  interpretation=Interpretation.ITO, x0=0.0)
-    cfg = McConfig(n_paths=50, dt=0.01, horizon=2.0, seed=SeedSpec(34), record="terminal")
+    cfg = McConfig(n_paths=50, dt=0.01, horizon=2.0, seed=SeedSpec(34))
     stats = hitting_time(m, SolverScheme.DIRECT_LEFT, 1.0, 1e-6, cfg)
     assert stats.fraction_hit == 0.0
     assert stats.mean_hit_time is None
@@ -193,7 +192,7 @@ def test_hitting_band_from_above():
     m = SdeModel(f=lambda x, t: -np.ones_like(np.asarray(x, dtype=float)),
                  g=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                  interpretation=Interpretation.ITO, x0=1.0)
-    cfg = McConfig(n_paths=3, dt=0.01, horizon=2.0, seed=SeedSpec(35), record="terminal")
+    cfg = McConfig(n_paths=3, dt=0.01, horizon=2.0, seed=SeedSpec(35))
     stats = hitting_time(m, SolverScheme.DIRECT_LEFT, 0.0, 1e-4, cfg)
     assert stats.fraction_hit == 1.0
     # deterministic descent at unit speed reaches the band at t ~ 1
@@ -233,8 +232,7 @@ def test_kinetic_oracle_initial_value():
 def test_kinetic_oracle_delta1_hits_band():
     # single-particle energy reaches the origin band by T=20 in nearly
     # every run (grid spacing 1e-3)
-    cfg = McConfig(n_paths=10_000, dt=1e-3, horizon=20.0, seed=SeedSpec(43),
-                   record="terminal")
+    cfg = McConfig(n_paths=10_000, dt=1e-3, horizon=20.0, seed=SeedSpec(43))
     stats = kinetic_oracle_hitting(1, 1, 1, 1, [1.0], 0.0, 1e-4, cfg)
     assert stats.fraction_hit >= 0.95
 
@@ -242,8 +240,7 @@ def test_kinetic_oracle_delta1_hits_band():
 def test_kinetic_oracle_delta2_minimum_stays_up():
     # two-particle energy: discrete minimum over [0, 20] at spacing 1e-2
     # exceeds 1e-6 for >= 99% of runs
-    cfg = McConfig(n_paths=10_000, dt=1e-2, horizon=20.0, seed=SeedSpec(44),
-                   record="terminal")
+    cfg = McConfig(n_paths=10_000, dt=1e-2, horizon=20.0, seed=SeedSpec(44))
     stats = kinetic_oracle_hitting(2, 1, 1, 1, [math.sqrt(0.5), math.sqrt(0.5)],
                                    0.0, 1e-6, cfg)
     assert stats.fraction_hit <= 0.01
@@ -251,8 +248,7 @@ def test_kinetic_oracle_delta2_minimum_stays_up():
 
 def test_kinetic_oracle_hitting_matches_scalar_oracle_paths():
     for delta, v0s in ((1, [1.0]), (2, [0.3, 0.2])):
-        cfg = McConfig(n_paths=4, dt=0.05, horizon=2.0, seed=SeedSpec(45, 3),
-                       record="terminal")
+        cfg = McConfig(n_paths=4, dt=0.05, horizon=2.0, seed=SeedSpec(45, 3))
         stats = kinetic_oracle_hitting(delta, 1, 1, 1, v0s, 0.0, 0.05, cfg)
         grid = TimeGrid.uniform(0.0, 2.0, 40)
         manual = []
@@ -314,9 +310,9 @@ def test_em_terminal_distribution_vs_oracle_ks():
     # acceptance suite): dt=1e-3, n=4000, T=1
     trio = kinetic_models(LangevinParams(v0=1.0))
     n = 4000
-    cfg = McConfig(n_paths=n, dt=1e-3, horizon=1.0, seed=SeedSpec(48),
-                   boundary=Reflect(0.0), record="terminal")
-    ens = simulate_ensemble(trio.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg)
+    cfg = McConfig(n_paths=n, dt=1e-3, horizon=1.0, seed=SeedSpec(48))
+    ens = simulate_ensemble(trio.ito, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg,
+                            Reflect(0.0), record="terminal")
     oracle = exact_kinetic_terminal(1, 1, 1, 1, [1.0], 1.0, n, SeedSpec(49))
     assert ks_statistic(ens.terminals, oracle) < 0.06
 
@@ -326,18 +322,16 @@ def test_strong_order_zero_diffusion_is_first_order():
                  g=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                  dgdx=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                  interpretation=Interpretation.ITO, x0=1.0)
-    cfg = McConfig(n_paths=64, dt=1e-2, horizon=1.0, seed=SeedSpec(50))
-    slope = strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM,
-                                     [1 / 16, 1 / 32, 1 / 64], cfg)
+    cfg = McConfig(n_paths=64, dt=1 / 16, horizon=1.0, seed=SeedSpec(50))
+    slope = strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg, 3)
     assert slope >= 0.9
 
 
 def test_strong_order_requires_three_levels():
     m = _smooth_model()
-    cfg = McConfig(n_paths=8, dt=1e-2, horizon=1.0, seed=SeedSpec(51))
+    cfg = McConfig(n_paths=8, dt=1 / 4, horizon=1.0, seed=SeedSpec(51))
     with pytest.raises(ValueError):
-        strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM,
-                                 [1 / 4, 1 / 8], cfg)
+        strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg, 2)
 
 
 def test_identical_stepping_gives_zero_error_against_itself():
@@ -357,7 +351,6 @@ def test_boundary_none_flags_and_clamps():
                  g=lambda x, t: 0.1 * np.ones_like(np.asarray(x, dtype=float)),
                  interpretation=Interpretation.ITO, x0=1.05,
                  domain=(1.0, math.inf))
-    cfg = McConfig(n_paths=1, dt=0.01, horizon=1.0, seed=SeedSpec(53), boundary=None)
     res = simulate_path(m, SolverScheme.DIRECT_LEFT,
                         TimeGrid.uniform(0.0, 1.0, 100), SeedSpec(53))
     assert np.min(res.path.values) >= 1.0 - 1e-12
@@ -404,7 +397,22 @@ def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=1, dt=0.5, horizon=0.1, seed=SeedSpec(1))
     with pytest.raises(ValueError):
-        McConfig(n_paths=1, dt=0.1, horizon=1.0, seed=SeedSpec(1), boundary="bogus")
+        simulate_ensemble(_smooth_model(), SolverScheme.DIRECT_LEFT,
+                          McConfig(n_paths=1, dt=0.1, horizon=1.0, seed=SeedSpec(1)),
+                          boundary="bogus")
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(record="paths"), "unknown record mode 'paths'"),
+    (dict(record="terminal", record_stride=0), "record_stride must be >= 1"),
+    (dict(record="path", record_stride=0), "record_stride must be >= 1"),
+])
+def test_engine_rejects_an_unknown_record_mode_or_stride(options, message):
+    # a misspelt mode must not run as terminal
+    times = np.linspace(0.0, 0.1, 11)
+    with pytest.raises(ValueError, match=message):
+        _run_engine(_smooth_model(), SolverScheme.DIRECT_LEFT, times, 2, SeedSpec(1), None,
+                    **options)
 
 
 def test_mcconfig_rejects_horizon_off_the_step_grid():
@@ -429,11 +437,10 @@ def test_diverged_path_raises_only_when_recorded():
                      dgdx=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                      interpretation=Interpretation.ITO, x0=0.9)
 
-    def cfg(record):
-        return McConfig(n_paths=20, dt=0.01, horizon=2.0, seed=SeedSpec(1), record=record)
+    cfg = McConfig(n_paths=20, dt=0.01, horizon=2.0, seed=SeedSpec(1))
 
-    res = simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg("terminal"))
+    res = simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg, record="terminal")
     assert np.isfinite(res.terminals).sum() == 3 and res.terminals.size == 20
     assert math.isnan(res.summary.terminal_mean)
     with pytest.raises(NumericError, match="path 0 diverged"):
-        simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg("path"))
+        simulate_ensemble(model, SolverScheme.DIRECT_LEFT, cfg, record="path")

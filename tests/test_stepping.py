@@ -83,9 +83,8 @@ def test_engine_terminals_equal_plain_stepper(tag):
     n_paths, n_steps, dt = 12, 1300, 2.0**-10
     model = _model(tag)
     scheme = scheme_for(tag)
-    cfg = McConfig(n_paths=n_paths, dt=dt, horizon=n_steps * dt, seed=SeedSpec(63, 4),
-                   boundary=None, record="terminal")
-    engine = simulate_ensemble(model, scheme, cfg).terminals
+    cfg = McConfig(n_paths=n_paths, dt=dt, horizon=n_steps * dt, seed=SeedSpec(63, 4))
+    engine = simulate_ensemble(model, scheme, cfg, record="terminal").terminals
     # the same run stepped over the increments it draws, given as a matrix
     dw = math.sqrt(dt) * path_noise(cfg.seed, n_paths, n_steps).T
     given = _run_engine(model, scheme, cfg.times(), n_paths, dw, None).terminal

@@ -107,9 +107,8 @@ def test_solo_run_equals_ensemble_path(i):
 
 def test_ensemble_opens_one_generator_per_block(opened):
     n = 5000
-    cfg = McConfig(n_paths=n, dt=1e-3, horizon=2e-3, seed=SeedSpec(75, 30),
-                   record="terminal")
-    simulate_ensemble(_walk(), SolverScheme.DIRECT_LEFT, cfg)
+    cfg = McConfig(n_paths=n, dt=1e-3, horizon=2e-3, seed=SeedSpec(75, 30))
+    simulate_ensemble(_walk(), SolverScheme.DIRECT_LEFT, cfg, record="terminal")
     assert len(opened) <= math.ceil(n / BLOCK) + 1
 
 

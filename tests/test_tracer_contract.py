@@ -82,3 +82,24 @@ def test_integrate_refines_one_ladder_for_every_rule(tmp_path):
     names = [tracer.NAMES[code] for code in t.name]
     assert names.count("paths.bridge") == 2
     assert names.count("integrals.table") == 1
+
+
+def test_engine_spans_count_the_scheduled_path_steps(tmp_path):
+    """An engine span's amount is ``n_paths x n_steps``, read from
+    ``_run_engine``'s third and fourth positional arguments: 8 x 10 for the
+    simulate job, and 3 members x (8 x 10 rest-start + 8 x 10 hitting) for
+    the experiment job."""
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for i, (argv, payload) in enumerate(_JOBS[:2]):
+            t.current_job = i
+            cfg = tmp_path / f"config{i}.json"
+            cfg.write_text(json.dumps(payload), encoding="utf-8")
+            assert cli.main([*argv, "--config", str(cfg), "--seed", "1",
+                             "--out", str(tmp_path / f"out{i}")]) == 0, argv
+    finally:
+        t.uninstall()
+    spans = t.arrays()
+    steps = [tracer.layer_metrics(spans, {i})[0]["solvers.path_steps"] for i in range(2)]
+    assert steps == [80, 480]
