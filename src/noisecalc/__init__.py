@@ -42,6 +42,7 @@ from .fokker_planck import (
     GridDensity,
     FpeProblem,
     stationary_density,
+    stationary_log_density,
     evolve_fpe,
     propagate_fpe,
     probability_flux,
@@ -61,4 +62,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

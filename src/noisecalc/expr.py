@@ -19,6 +19,15 @@ The tree is walked in one place, :func:`_compile`, into numpy closures.
 or inf; :func:`evaluate` runs them on one point and raises on any
 floating-point fault but underflow: division by zero, a log or sqrt outside
 its domain, an invalid power, and an overflow anywhere, ``+ - *`` included.
+
+Each node calls the numpy ufunc of its operator, with one exception: a
+power whose exponent is the number 2 or 3 is compiled as products of its
+base ``u``, evaluated once: ``u*u`` and ``(u*u)*u``.  ``u*u`` is
+``np.power(u, 2)`` bit for bit; the cube is within 1 ulp of ``np.power``
+(a product of n factors is within n - 1 roundings of the exact power:
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+sec. 3.1).  Every other exponent, ``x^4``, ``x^2.5``, ``x^-1``, ``x^t`` or
+``x^3^0.5``, goes to ``np.power``.
 """
 from __future__ import annotations
 
@@ -279,7 +288,14 @@ def _compile(node: Node) -> Callable:
         arg = _compile(node.arg)
         return lambda x, t: -arg(x, t)
     if isinstance(node, Bin):
-        op, a, b = _UFUNC[node.op], _compile(node.left), _compile(node.right)
+        a = _compile(node.left)
+        # u^2 and u^3 as products of u, evaluated once; np.multiply is a
+        # ufunc, as the power it replaces, so the result type is the same
+        if node.op == "^" and _is_num(node.right, 2.0):
+            return lambda x, t: np.multiply(u := a(x, t), u)
+        if node.op == "^" and _is_num(node.right, 3.0):
+            return lambda x, t: np.multiply(np.multiply(u := a(x, t), u), u)
+        op, b = _UFUNC[node.op], _compile(node.right)
         return lambda x, t: op(a(x, t), b(x, t))
     fn, arg = _NUMPY_FN[node.fn], _compile(node.arg)
     return lambda x, t: fn(arg(x, t))
@@ -290,7 +306,10 @@ def vector_fn(e: Expr) -> Callable:
 
     The tree is compiled into closures once, here, and not walked again per
     call; each node calls the numpy ufunc of its operator on the same
-    operands, so values are those of a node-by-node evaluation bit for bit.
+    operands, so values are those of a node-by-node evaluation bit for bit,
+    except that ``u^2`` and ``u^3`` with a constant exponent are products
+    of ``u`` (see the module docstring): ``u^2`` bit for bit, ``u^3`` within
+    1 ulp of ``np.power``.
     Domain violations propagate as NaN/inf instead of raising; callers that
     need strict errors should use :func:`evaluate`.
     """

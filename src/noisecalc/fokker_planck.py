@@ -52,6 +52,7 @@ __all__ = [
     "DensityExtremum",
     "FixedPointReport",
     "stationary_density",
+    "stationary_log_density",
     "nonequilibrium_potential",
     "evolve_fpe",
     "propagate_fpe",
@@ -192,10 +193,30 @@ def stationary_density(
     """Zero-flux stationary density ``exp(V)`` normalized on the interval.
 
     The potential is shifted by its maximum before exponentiation for
-    overflow safety.  ``g`` must be bounded away from zero on the interval:
-    a value at or below 1e-12, or NaN, at one of ``max(512, 2 n_cells)``
-    sampled points is rejected with its location.
+    overflow safety; where it lies more than ~745 below its maximum, the
+    density underflows to 0 (see :func:`stationary_log_density`).  ``g``
+    must be bounded away from zero on the interval: a value at or below
+    1e-12, or NaN, at one of ``max(512, 2 n_cells)`` sampled points is
+    rejected with its location.
     """
+    dx, v = _cell_potential(f, g, interval, n_cells)
+    p = np.exp(v - v.max())
+    return GridDensity(*interval, p / (p.sum() * dx))
+
+
+def stationary_log_density(
+    f: Callable, g: Callable, interval: tuple[float, float], n_cells: int,
+) -> np.ndarray:
+    """The log of :func:`stationary_density`'s cell values,
+    ``V - logsumexp(V) - log dx``, finite also in the tails of a stiff
+    potential, where the density itself underflows to 0.  Same checks."""
+    dx, v = _cell_potential(f, g, interval, n_cells)
+    top = v.max()
+    return v - (top + math.log(np.exp(v - top).sum())) - math.log(dx)
+
+
+def _cell_potential(f, g, interval, n_cells):
+    """``(dx, V at the cell centers)``, after checking the grid and ``g``."""
     a, b = interval
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
@@ -204,9 +225,7 @@ def stationary_density(
     _check_g_floor(g, a, b, n_cells)
     dx = (b - a) / n_cells
     centers = a + (np.arange(n_cells) + 0.5) * dx
-    v = nonequilibrium_potential(f, g, a, centers)
-    p = np.exp(v - v.max())
-    return GridDensity(a, b, p / (p.sum() * dx))
+    return dx, nonequilibrium_potential(f, g, a, centers)
 
 
 @dataclass(frozen=True)
@@ -453,17 +472,27 @@ def probability_flux(p: GridDensity, f: Callable, g: Callable,
     return _velocity(f, g, dgdx, xs, (p.a, p.b)) * p.values - 0.5 * dq
 
 
-def relative_entropy(p: GridDensity, q: GridDensity) -> float:
+def relative_entropy(p: GridDensity, q: GridDensity | np.ndarray) -> float:
     """Kullback-Leibler divergence ``sum p log(p/q) dx`` with 0 log 0 = 0.
 
-    Returns ``inf`` when ``q`` vanishes on a cell where ``p`` does not.
+    ``q`` is a density on ``p``'s grid, or the log of one's cell values, as
+    :func:`stationary_log_density` gives: the log stays finite where a
+    density underflows to 0.  Returns ``inf`` when ``q`` vanishes on a cell
+    where ``p`` does not.
     """
-    p._check_same_grid(q)
-    pv, qv = p.values, q.values
-    if np.any((qv == 0) & (pv > 0)):
-        return math.inf
+    pv = p.values
     mask = pv > 0
-    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])) * p.dx)
+    if isinstance(q, GridDensity):
+        p._check_same_grid(q)
+        with np.errstate(divide="ignore"):
+            log_q = np.log(q.values)
+    else:
+        log_q = np.asarray(q, dtype=float)
+        if log_q.shape != pv.shape:
+            raise ValueError(f"log density of shape {log_q.shape} on a grid of {p.n_cells} cells")
+    if np.any(log_q[mask] == -math.inf):
+        return math.inf
+    return float(np.sum(pv[mask] * (np.log(pv[mask]) - log_q[mask])) * p.dx)
 
 
 class Stability(enum.Enum):

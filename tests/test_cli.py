@@ -241,6 +241,23 @@ def test_fpe_runs_a_stiff_potential(tmp_path):
     assert abs(density.sum() * 6.0 / 64 - 1.0) < 1e-9
 
 
+def test_fpe_entropy_trace_is_finite_on_a_stiff_potential(tmp_path):
+    # g = 0.1 on 256 cells: the stationary density underflows to 0 on 24
+    # tail cells, and the entropy against it used to be inf on every row
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {"f": "-x", "g": "0.1", "interpretation": "ito",
+                             "domain": [None, None], "x0": 1.0}},
+        "fpe": {"interval": [-3.0, 3.0], "n_cells": 256, "horizon": 2.0,
+                "initial": {"kind": "gaussian", "center": 1.0, "width": 0.5},
+                "snapshot_every": 0.1},
+        "outputs": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["fpe", "--config", cfg]) == 0
+    trace = _read_table(tmp_path / "out" / "entropy.csv")[:, 1]
+    assert trace.size == 21 and np.isfinite(trace).all()
+    assert np.all(np.diff(trace) <= 0.0)
+
+
 def test_experiment_langevin1_report(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": {"n_seeds": 100, "dt": 1e-3,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisecalc import expr as xp
+from test_expr_reference import INPUTS as REFERENCE_INPUTS
 
 # derivative-check corpus: 20 expressions, all differentiable, evaluated on
 # (0.2, 2.2) where every sub-operation is defined
@@ -171,3 +172,68 @@ def test_free_variables_limited_to_x_t():
 ])
 def test_reads_t(src, reads):
     assert xp.reads_t(xp.parse(src)) is reads
+
+
+# --- whole-number powers compiled as products --------------------------------
+
+
+def test_cube_within_one_ulp_of_np_power():
+    f = xp.vector_fn(xp.parse("x^3"))
+    wide = 3.0 * np.random.default_rng(19).standard_normal(1_000_000)
+    for x in [np.asarray(v, dtype=float) for v in REFERENCE_INPUTS] + [wide]:
+        got, want = f(x), np.power(x, 3.0)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        err = np.abs(got[finite] - want[finite])
+        assert np.all(err <= np.spacing(np.abs(want[finite])))
+
+
+def test_square_is_np_power_bitwise():
+    x = np.concatenate([np.asarray(REFERENCE_INPUTS[0]),
+                        3.0 * np.random.default_rng(20).standard_normal(100_000)])
+    assert xp.vector_fn(xp.parse("x^2"))(x).tobytes() == np.power(x, 2.0).tobytes()
+
+
+def test_small_whole_powers_keep_signed_zero_nan_and_inf():
+    x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.0])
+    for n in (2, 3):
+        got, want = xp.vector_fn(xp.parse(f"x^{n}"))(x), np.power(x, float(n))
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    cube = xp.evaluate(xp.parse("x^3"), -0.0)
+    assert cube == 0.0 and math.copysign(1.0, cube) == -1.0
+
+
+def test_strict_cube_still_raises_on_overflow():
+    with pytest.raises(xp.ExprEvalError) as err:
+        xp.evaluate(xp.parse("x^3"), 1e103)
+    assert err.value.x == 1e103
+
+
+@pytest.mark.parametrize("src, exponent", [
+    ("x^4", lambda x, t: 4.0),
+    ("x^2.5", lambda x, t: 2.5),
+    ("x^-1", lambda x, t: -1.0),
+    ("x^t", lambda x, t: t),
+    ("x^3^0.5", lambda x, t: np.power(3.0, 0.5)),
+])
+def test_other_powers_are_np_power_bitwise(src, exponent):
+    x = np.abs(3.0 * np.random.default_rng(21).standard_normal(10_000)) + 0.1
+    with np.errstate(all="ignore"):
+        want = np.power(x, exponent(x, 0.7))
+    assert xp.vector_fn(xp.parse(src))(x, 0.7).tobytes() == want.tobytes()
+
+
+def test_small_whole_powers_keep_result_type():
+    for src in ("x^2", "x^3", "t^3", "2^3"):
+        f = xp.vector_fn(xp.parse(src))
+        for x in (np.array(0.7), 0.7, np.array([0.7, -1.5])):
+            assert type(f(x, 0.3)) is type(np.power(np.asarray(x, dtype=float), 2.0))
+    assert type(xp.evaluate(xp.parse("x^3"), 0.7)) is float
+
+
+def test_derivative_of_a_fourth_power_is_a_lowered_cube():
+    d = xp.derivative(xp.parse("x^4"))
+    assert xp.to_source(d) == "4 * x^3"
+    x = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(xp.vector_fn(d)(x), np.multiply(4.0, x * x * x))

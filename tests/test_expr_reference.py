@@ -1,10 +1,12 @@
 """``vector_fn`` against the tree walker it replaced.
 
 ``_walker_fn`` below evaluates the tree node by node on every call, as
-``vector_fn`` did before it compiled the tree into closures.  The two must
-agree bit for bit, in value, type and shape, on every node kind, on
-constant-only trees (the broadcast branch), on domain errors that become
-NaN/inf, and for array, 0-d and Python-float inputs.
+``vector_fn`` did before it compiled the tree into closures, with one rule
+added since: a power whose exponent is the number 2 or 3 is a product of
+its base, ``u*u`` or ``(u*u)*u``.  The two must agree bit for bit, in
+value, type and shape, on every node kind, on constant-only trees (the
+broadcast branch), on domain errors that become NaN/inf, and for array,
+0-d and Python-float inputs.
 """
 import warnings
 
@@ -26,7 +28,11 @@ def _walk(node, x, t):
     if isinstance(node, xp.Neg):
         return -_walk(node.arg, x, t)
     if isinstance(node, xp.Bin):
-        return _UFUNC[node.op](_walk(node.left, x, t), _walk(node.right, x, t))
+        left = _walk(node.left, x, t)
+        if node.op == "^" and isinstance(node.right, xp.Num) and node.right.value in (2, 3):
+            square = np.multiply(left, left)
+            return square if node.right.value == 2 else np.multiply(square, left)
+        return _UFUNC[node.op](left, _walk(node.right, x, t))
     return _NUMPY_FN[node.fn](_walk(node.arg, x, t))
 
 
@@ -44,6 +50,7 @@ CORPUS = [
     "x", "t", "-x", "x + t", "x - 2", "3*x", "x/t", "x^3", "x - x^3", "0.5 + 0.1*x^2",
     "sin(x)", "cos(x*t)", "exp(-x^2)", "log(x)", "sqrt(x)", "tanh(x) - t", "abs(x)",
     "-x^2 + t*sin(x)", "x^3^0.5", "2^x", "x^t", "-(x - 1)/(x + 1)",
+    "t^3 - x^2",
     # constant in x (the broadcast branch)
     "2", "-3.5", "sin(1) + 2^0.5", "-(4)", "t^2 + 1", "exp(t)",
     # domain errors that become NaN or inf

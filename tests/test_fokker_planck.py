@@ -16,6 +16,7 @@ from noisecalc.fokker_planck import (
     propagate_fpe,
     relative_entropy,
     stationary_density,
+    stationary_log_density,
 )
 from noisecalc.fokker_planck import _sqra_generator
 
@@ -289,6 +290,27 @@ def test_relative_entropy_infinite_when_support_mismatch():
     p = GridDensity(0.0, 1.0, np.full(16, 1.0))
     q = GridDensity(0.0, 1.0, vals)
     assert relative_entropy(p, q) == math.inf
+
+
+def test_stationary_log_density_is_the_log_of_the_density():
+    d = stationary_density(DOUBLE_WELL, ONE, (-2.0, 2.0), 256)
+    log_d = stationary_log_density(DOUBLE_WELL, ONE, (-2.0, 2.0), 256)
+    np.testing.assert_allclose(np.exp(log_d), d.values, rtol=1e-12)
+    p = GridDensity.from_function(lambda x: np.exp(-(x - 0.5) ** 2), -2.0, 2.0, 256)
+    assert relative_entropy(p, log_d) == pytest.approx(relative_entropy(p, d), rel=1e-12)
+    with pytest.raises(ValueError):
+        relative_entropy(p, log_d[:-1])
+
+
+def test_stationary_log_density_finite_where_the_density_underflows():
+    d = stationary_density(NEG_X, TENTH, (-3.0, 3.0), 256)
+    log_d = stationary_log_density(NEG_X, TENTH, (-3.0, 3.0), 256)
+    assert np.count_nonzero(d.values == 0.0) == 24
+    assert np.isfinite(log_d).all()
+    assert np.sum(np.exp(log_d)) * 6.0 / 256 == pytest.approx(1.0, rel=1e-12)
+    p = GridDensity.uniform(-3.0, 3.0, 256)
+    assert relative_entropy(p, d) == math.inf
+    assert math.isfinite(relative_entropy(p, log_d))
 
 
 def test_entropy_monotone_along_randomized_problems():
