@@ -16,14 +16,16 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric divergence.
 2 with one ``config error:`` line on stderr; a diverged run raises
 :class:`~noisecalc.solvers.NumericError`, in a command or in the library,
 and exits 3 with one ``numeric error:`` line.  stdout prints one summary
-line.  Output files are written atomically (temp file, then rename), so a
-run is reproducible byte for byte from ``(config, seed)``.  Every command
-runs serially.
+line.  This module formats every output byte: each CSV is one
+:func:`_write_csv` call and each JSON file one :func:`_write_json` call of
+a dict built here from result fields, so the library returns numbers and
+never text.  Output files are written atomically (temp file, then rename),
+so a run is reproducible byte for byte from ``(config, seed)``.  Every
+command runs serially.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -58,6 +60,10 @@ from .solvers import (Boundary, McConfig, NumericError, Reflect, STOP_ON_VIOLATI
                       SolverScheme, _check_record, simulate_ensemble)
 
 __all__ = ["main", "ConfigError", "NumericError"]
+
+
+# Rows of a CSV formatted at a time by ``_write_csv``.
+_CSV_BLOCK = 4096
 
 
 class ConfigError(ValueError):
@@ -307,6 +313,20 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, header: str, columns, trailer: str) -> None:
+    """``header``, one row per entry of the equal-length ``columns``, then
+    ``trailer``.  A value is written as ``repr`` of its Python number: the
+    shortest decimal that reads back to the same float, and an integer
+    column stays integral.  Rows are formatted a block at a time, which
+    converts no whole column to Python objects at once."""
+    rows = [header + "\n"]
+    for i in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [map(repr, np.asarray(c[i:i + _CSV_BLOCK]).tolist()) for c in columns]
+        rows.extend(",".join(row) + "\n" for row in zip(*cells))
+    rows.append(trailer)
+    _write_text(path, "".join(rows))
+
+
 def _hk_form(model: SdeModel) -> SdeModel:
     """The HK-form coefficients of the model's law (identity for HK tags)."""
     if model.interpretation is Interpretation.HAENGGI_KLIMONTOVICH:
@@ -345,9 +365,9 @@ def _cmd_integrate(cfg: dict, args) -> str:
     path = generate_brownian(TimeGrid.uniform(t0, t1, base), seed)
     tables = convergence_table(lambda x: phi(x, 0.0), path, levels, seed, rules)
     for table in tables:
-        buf = io.StringIO()
-        table.write_csv(buf)
-        _write_text(out / f"convergence_{table.rule.value}.csv", buf.getvalue())
+        _write_csv(out / f"convergence_{table.rule.value}.csv", "n_steps,value",
+                   (table.n_steps, table.values),
+                   f"# extrapolated,{float(table.extrapolated)!r}\n")
     if any(table.diverged for table in tables):
         raise NumericError("divergent sums in at least one convergence table")
     return f"integrate: wrote {len(rules)} table(s) to {out}"
@@ -373,10 +393,7 @@ def _cmd_convert(cfg: dict, args) -> str:
     ito = to_ito(model)
     f_orig = np.asarray(model.f(xs, 0.0), dtype=float)
     f_ito = np.asarray(ito.f(xs, 0.0), dtype=float)
-    rows = ["x,f_original,f_ito\n"]
-    for x, a, b in zip(xs, f_orig, f_ito):
-        rows.append(f"{float(x)!r},{float(a)!r},{float(b)!r}\n")
-    _write_text(out / "converted_drift.csv", "".join(rows))
+    _write_csv(out / "converted_drift.csv", "x,f_original,f_ito", (xs, f_orig, f_ito), "")
     return f"convert: wrote converted_drift.csv to {out}"
 
 
@@ -396,17 +413,20 @@ def _cmd_simulate(cfg: dict, args) -> str:
     summary = result.summary
     if not (math.isfinite(summary.terminal_mean) or summary.n_completed == 0):
         raise NumericError("non-finite ensemble statistics")
-    _write_json(out / "summary.json", summary.to_json_dict())
+    _write_json(out / "summary.json", {
+        "n_paths": mc.n_paths, "dt": mc.dt, "horizon": mc.horizon,
+        "scheme": scheme.value, "interpretation": model.interpretation.value,
+        "terminal_mean": summary.terminal_mean,
+        "terminal_var": summary.terminal_var,
+        "events": {"violations": summary.violations, "reflections": summary.reflections},
+    })
     edges, dens = summary.histogram
-    rows = ["bin_left,bin_right,density\n"]
-    for i in range(dens.size):
-        rows.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{float(dens[i])!r}\n")
-    _write_text(out / "histogram.csv", "".join(rows))
+    _write_csv(out / "histogram.csv", "bin_left,bin_right,density",
+               (edges[:-1], edges[1:], dens), "")
     wrote = 2
     if result.results is not None:
-        buf = io.StringIO()
-        result.results[0].path.write_csv(buf)
-        _write_text(out / "path.csv", buf.getvalue())
+        path = result.results[0].path
+        _write_csv(out / "path.csv", "t,value", (path.grid.points, path.values), "")
         wrote += 1
     return f"simulate: wrote {wrote} file(s) to {out}"
 
@@ -417,9 +437,7 @@ def _cmd_stationary(cfg: dict, args) -> str:
     out = _out_dir(cfg, args)
     hk = _hk_form(model)
     dens = stationary_density(hk.f, hk.g, interval, n_cells)
-    buf = io.StringIO()
-    dens.write_csv(buf)
-    _write_text(out / "density.csv", buf.getvalue())
+    _write_csv(out / "density.csv", "x_center,density", (dens.centers, dens.values), "")
     return f"stationary: wrote density.csv to {out}"
 
 
@@ -451,16 +469,13 @@ def _cmd_fpe(cfg: dict, args) -> str:
     result = propagate_fpe(problem, horizon, snap)
 
     out = _out_dir(cfg, args)
-    buf = io.StringIO()
-    result.final.write_csv(buf)
-    _write_text(out / "density.csv", buf.getvalue())
+    final = result.final
+    _write_csv(out / "density.csv", "x_center,density", (final.centers, final.values), "")
     # against the log of the stationary law, which stays finite where the
     # law itself underflows in the tails of a stiff potential
     target = stationary_log_density(hk.f, hk.g, (a, b), n_cells)
-    rows = ["t,H\n"]
-    for t, snap_d in zip(result.times, result.snapshots):
-        rows.append(f"{float(t)!r},{float(relative_entropy(snap_d, target))!r}\n")
-    _write_text(out / "entropy.csv", "".join(rows))
+    entropy = [relative_entropy(snap_d, target) for snap_d in result.snapshots]
+    _write_csv(out / "entropy.csv", "t,H", (result.times, entropy), "")
     return f"fpe: wrote 2 file(s) to {out}"
 
 
@@ -505,10 +520,18 @@ def _cmd_experiment(cfg: dict, args) -> str:
 
     members = []
     for diag in report.members:
-        entry = diag.to_json_dict()
-        entry["model_family"] = family
-        entry["hitting"] = hitting[diag.interpretation].to_json_dict()
-        members.append(entry)
+        hit_stats = hitting[diag.interpretation]
+        members.append({
+            "interpretation": diag.interpretation.value,
+            "scheme": diag.scheme.value,
+            "model_family": family,
+            "rest_start": {"first_step_drift": diag.first_step_drift,
+                           "violation_fraction": diag.violation_fraction,
+                           "interior_fraction": diag.interior_fraction,
+                           "stuck_fraction": diag.stuck_fraction},
+            "hitting": {"fraction": hit_stats.fraction_hit,
+                        "mean_time": hit_stats.mean_hit_time, "ci95": hit_stats.ci95},
+        })
     _write_json(out / f"experiment_{family}.json",
                 {"model_family": family, "members": members})
     return f"experiment: wrote experiment_{family}.json to {out}"

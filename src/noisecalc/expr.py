@@ -28,6 +28,15 @@ base ``u``, evaluated once: ``u*u`` and ``(u*u)*u``.  ``u*u`` is
 Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
 sec. 3.1).  Every other exponent, ``x^4``, ``x^2.5``, ``x^-1``, ``x^t`` or
 ``x^3^0.5``, goes to ``np.power``.
+
+:func:`parse` rejects an expression that nests deeper than
+:data:`MAX_DEPTH` levels, counting both the tree (each operator of a
+chain ``x + x + ...`` is one level) and the parser's open groups
+(parentheses, function arguments, unary minus and exponents), with an
+:class:`ExprSyntaxError` at the position where the limit is crossed.  Every
+later stage walks the tree recursively, and the derivative of a tree at the
+limit is a few times deeper, so the limit keeps each of them well inside
+Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -52,6 +61,8 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh", "abs")
 VARIABLES = ("x", "t")
+# Deepest expression parse accepts (see the module docstring).
+MAX_DEPTH = 100
 
 _NUMPY_FN = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
@@ -173,10 +184,30 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each rule returns its node and the node's height
+    (a leaf is 1), and ``nest`` counts the groups open around the token."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.nest = 0
+
+    def node(self, node: Node, *heights: int) -> tuple[Node, int]:
+        """``node`` with its height, one above its children's ``heights``."""
+        height = 1 + max(heights, default=0)
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", node.pos)
+        return node, height
+
+    def nested(self, rule: Callable, pos: int) -> tuple[Node, int]:
+        """``rule()`` parsed inside one more group, opened at ``pos``."""
+        self.nest += 1
+        if self.nest > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        out = rule()
+        self.nest -= 1
+        return out
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -193,62 +224,66 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, height = self.term()
         while True:
             kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = Bin(pos, text, node, self.term())
+                right, h = self.term()
+                node, height = self.node(Bin(pos, text, node, right), height, h)
             else:
-                return node
+                return node, height
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, height = self.factor()
         while True:
             kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = Bin(pos, text, node, self.factor())
+                right, h = self.factor()
+                node, height = self.node(Bin(pos, text, node, right), height, h)
             else:
-                return node
+                return node, height
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple[Node, int]:
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(pos, self.factor())
+            arg, h = self.nested(self.factor, pos)
+            return self.node(Neg(pos, arg), h)
         return self.power()
 
-    def power(self) -> Node:
-        base = self.primary()
+    def power(self) -> tuple[Node, int]:
+        base, height = self.primary()
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return Bin(pos, "^", base, self.factor())
-        return base
+            exponent, h = self.nested(self.factor, pos)
+            return self.node(Bin(pos, "^", base, exponent), height, h)
+        return base, height
 
-    def primary(self) -> Node:
+    def primary(self) -> tuple[Node, int]:
         kind, text, pos = self.advance()
         if kind == "number":
-            return Num(pos, float(text))
+            return self.node(Num(pos, float(text)))
         if kind == "ident":
             if text in VARIABLES:
-                return Var(pos, text)
+                return self.node(Var(pos, text))
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, h = self.nested(self.expr, pos)
                 self.expect_op(")")
-                return Call(pos, text, arg)
+                return self.node(Call(pos, text, arg), h)
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(
@@ -258,7 +293,8 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse UTF-8 text into an expression tree."""
+    """Parse UTF-8 text into an expression tree no deeper than
+    :data:`MAX_DEPTH` levels."""
     return Expr(_Parser(source).parse())
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +66,9 @@ _NEG_TOL = -1e-12
 # Most snapshot intervals a propagated run takes: each snapshot is a density
 # held in memory.
 _MAX_SNAPSHOTS = 100_000
+# Most cells a propagated run takes: its generator and propagator are dense
+# n_cells x n_cells matrices, 128 MiB each at this size.
+_MAX_CELLS = 4096
 # The Taylor series of the scaled propagator stops once the 1-norm bound of
 # the next term, (c h)^k / k!, falls below this.
 _TAYLOR_TOL = 1e-18
@@ -148,11 +151,6 @@ class GridDensity:
     def _check_same_grid(self, other: "GridDensity") -> None:
         if (self.a, self.b, self.n_cells) != (other.a, other.b, other.n_cells):
             raise ValueError("densities live on different grids")
-
-    def write_csv(self, fp: TextIO) -> None:
-        fp.write("x_center,density\n")
-        for x, v in zip(self.centers, self.values):
-            fp.write(f"{float(x)!r},{float(v)!r}\n")
 
 
 def _check_g_floor(g, a, b, n_cells):
@@ -422,9 +420,10 @@ def propagate_fpe(problem: FpeProblem, horizon: float,
     per snapshot; ``E`` is a dense ``n_cells x n_cells`` matrix.
 
     Rejects a ``horizon`` that is not positive and finite, a
-    ``snapshot_every`` that is not positive, and more than 100,000
-    intervals.  Densities are nonnegative by construction and never
-    clipped; ``mass_drift`` is the rounding drift of the final mass.
+    ``snapshot_every`` that is not positive, more than 100,000 intervals
+    and more than 4,096 cells.  Densities are nonnegative by construction
+    and never clipped; ``mass_drift`` is the rounding drift of the final
+    mass.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -437,6 +436,9 @@ def propagate_fpe(problem: FpeProblem, horizon: float,
     if m > _MAX_SNAPSHOTS:
         raise ValueError(f"snapshot_every={snapshot_every} asks for {m} snapshot "
                          f"intervals; at most {_MAX_SNAPSHOTS} are allowed")
+    if problem.initial.n_cells > _MAX_CELLS:
+        raise ValueError(f"{problem.initial.n_cells} cells: the propagator is a dense "
+                         f"n_cells x n_cells matrix, so at most {_MAX_CELLS} are allowed")
 
     a, b = problem.interval
     dx = problem.initial.dx

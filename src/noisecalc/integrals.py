@@ -17,7 +17,7 @@ whose levels are its run spec's step halved again and again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,12 +137,6 @@ class ConvergenceTable:
     @property
     def diverged(self) -> bool:
         return len(self.diverged_levels) > 0
-
-    def write_csv(self, fp: TextIO) -> None:
-        fp.write("n_steps,value\n")
-        for n, v in zip(self.n_steps, self.values):
-            fp.write(f"{n},{float(v)!r}\n")
-        fp.write(f"# extrapolated,{float(self.extrapolated)!r}\n")
 
 
 def _euler_path_from_driver(model, driver: SamplePath) -> SamplePath:

@@ -20,7 +20,6 @@ paths run, on how the steps are chunked, or on when other paths stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -221,12 +220,6 @@ class SamplePath:
     def final_value(self) -> float:
         return float(self.values[-1])
 
-    def write_csv(self, fp: TextIO) -> None:
-        """Dump as ``t,value`` rows, shortest round-trip decimals."""
-        fp.write("t,value\n")
-        for t, v in zip(self.grid.points, self.values):
-            fp.write(f"{float(t)!r},{float(v)!r}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class VectorPath:
@@ -255,12 +248,6 @@ class VectorPath:
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
-
-    def write_csv(self, fp: TextIO) -> None:
-        m = self.dimension
-        fp.write("t," + ",".join(f"x{k + 1}" for k in range(m)) + "\n")
-        for t, row in zip(self.grid.points, self.values):
-            fp.write(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row) + "\n")
 
 
 def generate_brownian(grid: TimeGrid, seed: SeedSpec) -> SamplePath:

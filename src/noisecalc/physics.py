@@ -298,18 +298,6 @@ class MemberDiagnostics:
     interior_fraction: float
     stuck_fraction: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "interpretation": self.interpretation.value,
-            "scheme": self.scheme.value,
-            "rest_start": {
-                "first_step_drift": self.first_step_drift,
-                "violation_fraction": self.violation_fraction,
-                "interior_fraction": self.interior_fraction,
-                "stuck_fraction": self.stuck_fraction,
-            },
-        }
-
 
 @dataclass(frozen=True)
 class RestStartReport:

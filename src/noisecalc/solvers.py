@@ -169,26 +169,17 @@ class PathResult:
 class HittingStats:
     """First-passage statistics over an ensemble.
 
-    A hit is declared when the path enters the band around ``level`` from
+    A hit is declared when the path enters the band around the level from
     its starting side: ``x <= level + band`` when started above the level,
     ``x >= level - band`` when started below.  Censored paths (no hit by
-    the horizon) count in ``n_paths`` but not in the mean.
+    the horizon) count in the denominator of ``fraction_hit`` but not in
+    the mean.
     """
 
-    level: float
-    band: float
-    n_paths: int
     n_hit: int
     fraction_hit: float
     mean_hit_time: float | None
     ci95: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fraction": self.fraction_hit,
-            "mean_time": self.mean_hit_time,
-            "ci95": self.ci95,
-        }
 
 
 @dataclass(frozen=True)
@@ -224,29 +215,12 @@ class McConfig:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    n_paths: int
-    dt: float
-    horizon: float
-    scheme: SolverScheme
-    interpretation: Interpretation
     terminal_mean: float
     terminal_var: float
     n_completed: int
     violations: int
     reflections: int
     histogram: tuple[np.ndarray, np.ndarray]  # (bin_edges, densities)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "scheme": self.scheme.value,
-            "interpretation": self.interpretation.value,
-            "terminal_mean": self.terminal_mean,
-            "terminal_var": self.terminal_var,
-            "events": {"violations": self.violations, "reflections": self.reflections},
-        }
 
 
 @dataclass(frozen=True)
@@ -521,7 +495,7 @@ def simulate_path(
     return _path_result(raw, grid.points, 0)
 
 
-def _summarize(model, scheme, cfg, raw) -> EnsembleSummary:
+def _summarize(raw) -> EnsembleSummary:
     terminal = raw.terminal[raw.completed]
     mean, var = math.nan, math.nan
     hist, edges = np.array([]), np.array([])
@@ -533,11 +507,6 @@ def _summarize(model, scheme, cfg, raw) -> EnsembleSummary:
         bins = min(50, max(5, terminal.size // 20 + 5))
         hist, edges = np.histogram(terminal, bins=bins, density=True)
     return EnsembleSummary(
-        n_paths=cfg.n_paths,
-        dt=cfg.dt,
-        horizon=cfg.horizon,
-        scheme=scheme,
-        interpretation=model.interpretation,
         terminal_mean=mean,
         terminal_var=var,
         n_completed=int(raw.completed.sum()),
@@ -577,7 +546,7 @@ def simulate_ensemble(
     results = None
     if record == "path":
         results = tuple(_path_result(raw, times, i) for i in range(cfg.n_paths))
-    return EnsembleResult(results, _summarize(model, scheme, cfg, raw),
+    return EnsembleResult(results, _summarize(raw),
                           raw.terminal[raw.completed].copy())
 
 
@@ -602,10 +571,10 @@ def hitting_time(
         model, scheme, times, cfg.n_paths, cfg.seed, boundary,
         hit_level=level, hit_band=band,
     )
-    return _hitting_stats(level, band, cfg.n_paths, raw.hit_time)
+    return _hitting_stats(cfg.n_paths, raw.hit_time)
 
 
-def _hitting_stats(level, band, n_paths, hit_time) -> HittingStats:
+def _hitting_stats(n_paths, hit_time) -> HittingStats:
     hits = hit_time[~np.isnan(hit_time)]
     n_hit = int(hits.size)
     if n_hit:
@@ -614,10 +583,7 @@ def _hitting_stats(level, band, n_paths, hit_time) -> HittingStats:
         ci = 1.96 * sd / math.sqrt(n_hit)
     else:
         mean, ci = None, None
-    return HittingStats(
-        level=level, band=band, n_paths=n_paths, n_hit=n_hit,
-        fraction_hit=n_hit / n_paths, mean_hit_time=mean, ci95=ci,
-    )
+    return HittingStats(n_hit=n_hit, fraction_hit=n_hit / n_paths, mean_hit_time=mean, ci95=ci)
 
 
 # --- exact oracles ----------------------------------------------------------
@@ -746,7 +712,7 @@ def kinetic_oracle_hitting(
     hit_step = _oracle_velocities(delta, m, gamma, sigma, v0s, np.full(cfg.n_steps, cfg.dt),
                                   cfg.n_paths, cfg.seed, level=level + band)
     hit_time = np.where(hit_step >= 0, cfg.times()[hit_step], np.nan)
-    return _hitting_stats(level, band, cfg.n_paths, hit_time)
+    return _hitting_stats(cfg.n_paths, hit_time)
 
 
 def besq_time_change(t: float, m: float, gamma: float, sigma: float) -> float:

@@ -494,6 +494,17 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
     pytest.param(["simulate"], {"model": _OU, "run": {
         "n_paths": 5, "dt": 0.01, "horizon": 0.1, "record_stride": 0}},
                  id="simulate-zero-record-stride-of-five-paths"),
+    pytest.param(["simulate"], {"model": {"custom": {**_OU["custom"],
+                                                     "f": "+".join(["x"] * 1200)}}},
+                 id="simulate-f-sum-of-1200-terms"),
+    pytest.param(["simulate"], {"model": {"custom": {**_OU["custom"],
+                                                     "f": "(" * 250 + "x" + ")" * 250}}},
+                 id="simulate-f-in-250-parentheses"),
+    pytest.param(["stationary"], {"model": {"custom": {**_OU["custom"],
+                                                       "f": "-".join(["x"] * 400)}}},
+                 id="stationary-f-difference-of-400-terms"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 4097, "horizon": 0.1}},
+                 id="fpe-one-cell-above-the-cap"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})

@@ -237,3 +237,58 @@ def test_derivative_of_a_fourth_power_is_a_lowered_cube():
     assert xp.to_source(d) == "4 * x^3"
     x = np.linspace(-2.0, 2.0, 9)
     assert np.array_equal(xp.vector_fn(d)(x), np.multiply(4.0, x * x * x))
+
+
+# --- depth limit ---------------------------------------------------------------
+
+_AT = xp.MAX_DEPTH
+
+
+@pytest.mark.parametrize("src", [
+    "+".join(["x"] * 1200),
+    "(" * 250 + "x" + ")" * 250,
+    "-".join(["x"] * 400),
+    "-" * 5000 + "x",
+    "^".join(["x"] * 3000),
+], ids=["sum-1200", "parens-250", "difference-400", "minus-5000", "power-3000"])
+def test_deep_expressions_are_syntax_errors(src):
+    with pytest.raises(xp.ExprSyntaxError, match=f"deeper than {_AT} levels"):
+        xp.parse(src)
+
+
+# each shape at exactly the limit: its tree is MAX_DEPTH high, or its groups
+# (parentheses, arguments, unary minus, exponents) MAX_DEPTH deep
+_SHAPES = {
+    "sum": lambda n: "+".join(["x"] * n),
+    "product": lambda n: "*".join(["x"] * n),
+    "quotient": lambda n: "/".join(["x"] * n),
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "minus": lambda n: "-" * (n - 1) + "x",
+    "power": lambda n: "^".join(["x"] * n),
+    "grouped-power": lambda n: "(" * (n - 2) + "x^x" + ")^x" * (n - 2),
+    "tanh": lambda n: "tanh(" * (n - 1) + "x" + ")" * (n - 1),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_an_expression_at_the_depth_limit_runs_every_stage(shape):
+    build = _SHAPES[shape]
+    with pytest.raises(xp.ExprSyntaxError):
+        xp.parse(build(_AT + 1))
+    e = xp.parse(build(_AT))
+    d = xp.derivative(e)
+    assert not xp.reads_t(e)
+    for tree in (e, d):
+        value = xp.evaluate(tree, 0.7)
+        assert math.isfinite(value)
+        assert xp.vector_fn(tree)(np.array([0.7]))[0] == value
+
+
+def test_depth_error_points_where_the_limit_is_crossed():
+    src = "+".join(["x"] * (_AT + 5))
+    with pytest.raises(xp.ExprSyntaxError) as err:
+        xp.parse(src)
+    assert err.value.pos == src.index("+") + 2 * (_AT - 1)  # the operator of level MAX_DEPTH + 1
+    with pytest.raises(xp.ExprSyntaxError) as err:
+        xp.parse("(" * (_AT + 5) + "x" + ")" * (_AT + 5))
+    assert err.value.pos == _AT  # the group opened at level MAX_DEPTH + 1

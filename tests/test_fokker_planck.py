@@ -506,6 +506,16 @@ def test_propagator_rejects_overflowing_rates():
         propagate_fpe(prob, 1.0, 0.1)
 
 
+def test_propagator_rejects_a_cell_count_above_the_cap_before_it_allocates(monkeypatch):
+    import noisecalc.fokker_planck as fp
+
+    def unreachable(problem):
+        raise AssertionError("the dense generator was built")
+    monkeypatch.setattr(fp, "_sqra_generator", unreachable)
+    with pytest.raises(ValueError, match="4097 cells"):
+        propagate_fpe(_problem("ou", n=4097), 1.0, 0.1)
+
+
 def test_propagator_allows_the_largest_snapshot_count():
     res = propagate_fpe(_problem("ou", n=4), 1.0, 1e-5)
     assert len(res.times) == 100_001

@@ -1,8 +1,9 @@
-import io
+import json
 
 import numpy as np
 import pytest
 
+from noisecalc.cli import main
 from noisecalc.integrals import (
     ConvergenceTable,
     EvaluationRule,
@@ -152,13 +153,20 @@ def test_hk_identity_error_decreases_with_level():
     assert errs[-1] < errs[0]
 
 
-def test_convergence_table_csv_format():
+def test_convergence_table_csv_format(tmp_path):
+    """``integrate``'s tables have whole-number ``n_steps`` and a
+    ``# extrapolated,`` trailer equal to their last row."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"integrate": {"base_steps": 8, "levels": 2}}), encoding="utf-8")
+    assert main(["integrate", "--config", str(cfg), "--seed", "3",
+                 "--out", str(tmp_path / "out")]) == 0
+    for rule in RULES:
+        lines = (tmp_path / "out" / f"convergence_{rule.value}.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0] == "n_steps,value"
+        assert [ln.split(",")[0] for ln in lines[1:-1]] == ["8", "16", "32"]
+        assert lines[-1] == "# extrapolated," + lines[-2].split(",")[1]
     t = ConvergenceTable(EvaluationRule.RIGHT, (4, 8), (1.5, 1.25))
-    buf = io.StringIO()
-    t.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n_steps,value"
-    assert lines[-1].startswith("# extrapolated,")
     assert t.extrapolated == 1.25
     with pytest.raises(ValueError):
         ConvergenceTable(EvaluationRule.LEFT, (8, 4), (1.0, 2.0))

@@ -1,8 +1,10 @@
-import io
+import json
 
 import numpy as np
 import pytest
 
+from noisecalc import expr as xp
+from noisecalc.cli import main
 from noisecalc.paths import (
     SamplePath,
     SeedSpec,
@@ -12,6 +14,8 @@ from noisecalc.paths import (
     generate_brownian_vector,
     refine_bridge,
 )
+from noisecalc.sde import Interpretation, SdeModel
+from noisecalc.solvers import McConfig, SolverScheme, simulate_path
 
 
 def test_grid_validation():
@@ -158,21 +162,29 @@ def test_vector_rejects_bad_dimension():
         generate_brownian_vector(g, 0, SeedSpec(1))
 
 
-def test_csv_round_trip_precision():
-    g = TimeGrid.uniform(0.0, 1.0, 8)
-    w = generate_brownian(g, SeedSpec(17))
-    buf = io.StringIO()
-    w.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+def test_csv_round_trip_precision(tmp_path):
+    """``simulate``'s ``path.csv`` of one path reads back exactly to the
+    grid and values of the matching ``simulate_path``."""
+    f, g = "-x", "1 + 0.1*x^2"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"custom": {"f": f, "g": g, "interpretation": "ito",
+                             "domain": [None, None], "x0": 0.3}},
+        "run": {"n_paths": 1, "dt": 0.01, "horizon": 0.5, "scheme": "euler"}}),
+        encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--seed", "17",
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "path.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,value"
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(parsed[:, 1], w.values)
 
-    vp = generate_brownian_vector(g, 2, SeedSpec(17))
-    buf = io.StringIO()
-    vp.write_csv(buf)
-    head = buf.getvalue().splitlines()[0]
-    assert head == "t,x1,x2"
+    model = SdeModel(f=xp.vector_fn(xp.parse(f)), g=xp.vector_fn(xp.parse(g)),
+                     dgdx=xp.vector_fn(xp.derivative(xp.parse(g))),
+                     interpretation=Interpretation.ITO, x0=0.3)
+    grid = TimeGrid(McConfig(n_paths=1, dt=0.01, horizon=0.5, seed=SeedSpec(17)).times())
+    want = simulate_path(model, SolverScheme.EULER_MARUYAMA_ITO_FORM, grid, SeedSpec(17)).path
+    assert np.array_equal(parsed[:, 0], want.grid.points)
+    assert np.array_equal(parsed[:, 1], want.values)
 
 
 def test_vector_path_component_view():
