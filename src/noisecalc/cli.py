@@ -49,6 +49,7 @@ from .integrals import convergence_table
 from .paths import SeedSpec, TimeGrid, generate_brownian
 from .physics import (
     FAMILIES,
+    InterpretationTriple,
     LangevinParams,
     RelativisticParams,
     boundary_hitting_study,
@@ -64,6 +65,9 @@ __all__ = ["main", "ConfigError", "NumericError"]
 
 # Rows of a CSV formatted at a time by ``_write_csv``.
 _CSV_BLOCK = 4096
+# Most steps of the finest path ``integrate`` refines to (base_steps x
+# 2^levels); each level is a path in memory, 32 MiB at this size.
+_MAX_INTEGRATE_STEPS = 2**22
 
 
 class ConfigError(ValueError):
@@ -245,7 +249,7 @@ def _build_model(cfg: dict, command: str) -> SdeModel:
     interp = Interpretation.from_name(
         _text(_get(block, "interpretation", "ito"), "model.interpretation"))
     trio = family_models(family, _family_params(family, block))
-    return trio.member(interp)
+    return dict(zip(Interpretation, trio.members()))[interp]
 
 
 def _boundary_from(cfg: dict) -> Boundary:
@@ -359,6 +363,11 @@ def _cmd_integrate(cfg: dict, args) -> str:
         raise ConfigError("integrate.base_steps must be even and >= 2")
     if levels < 0:
         raise ConfigError("integrate.levels must be >= 0")
+    # the bit lengths bound the product before it is formed
+    if (base.bit_length() + levels > _MAX_INTEGRATE_STEPS.bit_length()
+            or base << levels > _MAX_INTEGRATE_STEPS):
+        raise ConfigError(f"integrate.base_steps x 2^levels must be at most "
+                          f"{_MAX_INTEGRATE_STEPS}, got {base} x 2^{levels}")
     seed = _seed_from(cfg, args.seed)
     out = _out_dir(cfg, args)
 
@@ -465,7 +474,7 @@ def _cmd_fpe(cfg: dict, args) -> str:
         raise ConfigError(f"unknown initial kind {kind!r}")
 
     hk = _hk_form(model)
-    problem = FpeProblem(f=hk.f, g=hk.g, interval=(a, b), initial=initial)
+    problem = FpeProblem(f=hk.f, g=hk.g, initial=initial)
     result = propagate_fpe(problem, horizon, snap)
 
     out = _out_dir(cfg, args)
@@ -495,19 +504,16 @@ def _cmd_experiment(cfg: dict, args) -> str:
     seed = _seed_from(cfg, args.seed)
     out = _out_dir(cfg, args)
 
-    # rest start: boundary initial data (null velocities / null momentum)
+    # the hitting study starts inside the domain; the rest start is its
+    # lower edge (zero kinetic energy, or the rest energy), the hitting level
     if family == "relativistic":
-        rest_params = RelativisticParams(p0=0.0)
-        run_params = RelativisticParams(p0=1.0)
-        level = rest_params.M
+        params = RelativisticParams(p0=1.0)
     else:
-        rest_params = LangevinParams(v0=0.0, u0=0.0 if family == "langevin2" else None)
         v = math.sqrt(0.5) if family == "langevin2" else 1.0
-        run_params = LangevinParams(v0=v, u0=v if family == "langevin2" else None)
-        level = 0.0
-
-    rest_trio = family_models(family, rest_params)
-    run_trio = family_models(family, run_params)
+        params = LangevinParams(v0=v, u0=v if family == "langevin2" else None)
+    trio = family_models(family, params)
+    level = trio.ito.domain[0]
+    rest_trio = InterpretationTriple(*(replace(m, x0=m.domain[0]) for m in trio.members()))
     hit_cfg = McConfig(
         n_paths=n_paths if args.paths is None else args.paths,
         dt=_num(hit.get("dt", 1e-3), "experiment.hitting.dt"),
@@ -515,23 +521,19 @@ def _cmd_experiment(cfg: dict, args) -> str:
         seed=seed,
     )
     rest_cfg = McConfig(n_paths=n_seeds, dt=dt, horizon=horizon, seed=seed)
-    report = rest_start_diagnostics(rest_trio, rest_cfg)
-    hitting = boundary_hitting_study(run_trio, level, band, hit_cfg)
-
-    members = []
-    for diag in report.members:
-        hit_stats = hitting[diag.interpretation]
-        members.append({
-            "interpretation": diag.interpretation.value,
-            "scheme": diag.scheme.value,
-            "model_family": family,
-            "rest_start": {"first_step_drift": diag.first_step_drift,
-                           "violation_fraction": diag.violation_fraction,
-                           "interior_fraction": diag.interior_fraction,
-                           "stuck_fraction": diag.stuck_fraction},
-            "hitting": {"fraction": hit_stats.fraction_hit,
-                        "mean_time": hit_stats.mean_hit_time, "ci95": hit_stats.ci95},
-        })
+    members = [{
+        "interpretation": model.interpretation.value,
+        "scheme": diag.scheme.value,
+        "model_family": family,
+        "rest_start": {"first_step_drift": diag.first_step_drift,
+                       "violation_fraction": diag.violation_fraction,
+                       "interior_fraction": diag.interior_fraction,
+                       "stuck_fraction": diag.stuck_fraction},
+        "hitting": {"fraction": hit_stats.fraction_hit,
+                    "mean_time": hit_stats.mean_hit_time, "ci95": hit_stats.ci95},
+    } for model, diag, hit_stats in zip(trio.members(),
+                                        rest_start_diagnostics(rest_trio, rest_cfg),
+                                        boundary_hitting_study(trio, level, band, hit_cfg))]
     _write_json(out / f"experiment_{family}.json",
                 {"model_family": family, "members": members})
     return f"experiment: wrote experiment_{family}.json to {out}"

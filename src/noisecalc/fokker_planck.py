@@ -28,8 +28,8 @@ Time evolution has two independent routes.
   ``min(0.4 dx^2 / max g^2, 0.5 dx / max|f + g g'|)``.
 
 Both routes and :func:`stationary_density` reject a ``g`` that is not above
-1e-12 (NaN is not) on the interval.  ``g'`` is an analytic ``dgdx`` when
-given, else :func:`~noisecalc.sde.finite_diff_gprime`, in one place.
+1e-12 (NaN is not) on the interval.  ``g'`` comes from
+:func:`~noisecalc.sde.finite_diff_gprime`, in one place.
 """
 from __future__ import annotations
 
@@ -67,7 +67,8 @@ _NEG_TOL = -1e-12
 # held in memory.
 _MAX_SNAPSHOTS = 100_000
 # Most cells a propagated run takes: its generator and propagator are dense
-# n_cells x n_cells matrices, 128 MiB each at this size.
+# n_cells x n_cells matrices, 128 MiB each at this size.  The snapshots it
+# holds, n_cells values each, may take no more than one such matrix.
 _MAX_CELLS = 4096
 # The Taylor series of the scaled propagator stops once the 1-norm bound of
 # the next term, (c h)^k / k!, falls below this.
@@ -164,10 +165,9 @@ def _check_g_floor(g, a, b, n_cells):
                          f"g({float(xs[worst])}) = {float(gv[worst])}")
 
 
-def _velocity(f, g, dgdx, xs, domain):
-    """``f + g g'`` at ``xs``; ``g'`` is ``dgdx`` or else finite differences on ``domain``."""
-    gp = (finite_diff_gprime(g, xs, 0.0, domain=domain).value
-          if dgdx is None else np.asarray(dgdx(xs, 0.0), dtype=float))
+def _velocity(f, g, xs, domain):
+    """``f + g g'`` at ``xs``, with ``g'`` by finite differences on ``domain``."""
+    gp = finite_diff_gprime(g, xs, 0.0, domain=domain)
     return np.asarray(f(xs, 0.0), dtype=float) + np.asarray(g(xs, 0.0), dtype=float) * gp
 
 
@@ -228,32 +228,30 @@ def _cell_potential(f, g, interval, n_cells):
 
 @dataclass(frozen=True)
 class FpeProblem:
-    """Time-homogeneous forward problem on [a, b] with reflecting borders.
+    """Time-homogeneous forward problem with reflecting borders on the
+    interval [a, b] of its initial density.
 
-    ``dgdx`` is the optional analytic derivative of ``g``; without it the
-    advection velocity uses :func:`~noisecalc.sde.finite_diff_gprime` on
-    the interval.  Construction checks, by sampling as
-    :func:`stationary_density` does, that ``g`` stays above 1e-12.
+    ``g'`` comes from :func:`~noisecalc.sde.finite_diff_gprime`.  Construction
+    checks, by sampling as :func:`stationary_density` does, that ``g`` stays
+    above 1e-12.
     """
 
     f: Callable
     g: Callable
-    interval: tuple[float, float]
     initial: GridDensity
-    dgdx: Callable | None = None
 
     def __post_init__(self) -> None:
-        a, b = self.interval
-        if (self.initial.a, self.initial.b) != (a, b):
-            raise ValueError("initial density must live on the problem interval")
-        _check_g_floor(self.g, a, b, self.initial.n_cells)
+        _check_g_floor(self.g, *self.interval, self.initial.n_cells)
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        return self.initial.a, self.initial.b
 
     def stability_bound(self) -> float:
         """Recorded explicit-Euler bound: the smaller of the diffusive limit
         ``0.4 dx^2 / max(g^2)`` and the advective limit
         ``0.5 dx / max|f + g g'|``, both sampled on 512 points."""
-        a, b = self.interval
-        xs = np.linspace(a, b, 512)
+        xs = np.linspace(*self.interval, 512)
         dx = self.initial.dx
         gmax = float(np.max(np.asarray(self.g(xs, 0.0), dtype=float) ** 2))
         vmax = float(np.max(np.abs(self.velocity(xs))))
@@ -262,15 +260,18 @@ class FpeProblem:
 
     def velocity(self, xs: np.ndarray) -> np.ndarray:
         """Advection field ``f + g g'`` of the conservation form."""
-        return _velocity(self.f, self.g, self.dgdx, xs, self.interval)
+        return _velocity(self.f, self.g, xs, self.interval)
 
 
 @dataclass(frozen=True)
 class FpeResult:
-    final: GridDensity
     times: tuple[float, ...]
     snapshots: tuple[GridDensity, ...]
     mass_drift: float
+
+    @property
+    def final(self) -> GridDensity:
+        return self.snapshots[-1]
 
 
 def evolve_fpe(
@@ -340,10 +341,9 @@ def evolve_fpe(
             times.append((k + 1) * dt)
             snaps.append(GridDensity(a, b, p))
 
-    final = GridDensity(a, b, p)
     times.append(horizon)
-    snaps.append(final)
-    return FpeResult(final, tuple(times), tuple(snaps), float(abs(p.sum() * dx - mass0)))
+    snaps.append(GridDensity(a, b, p))
+    return FpeResult(tuple(times), tuple(snaps), float(abs(p.sum() * dx - mass0)))
 
 
 def _sqra_generator(problem: FpeProblem) -> np.ndarray:
@@ -420,8 +420,9 @@ def propagate_fpe(problem: FpeProblem, horizon: float,
     per snapshot; ``E`` is a dense ``n_cells x n_cells`` matrix.
 
     Rejects a ``horizon`` that is not positive and finite, a
-    ``snapshot_every`` that is not positive, more than 100,000 intervals
-    and more than 4,096 cells.  Densities are nonnegative by construction
+    ``snapshot_every`` that is not positive, more than 100,000 intervals,
+    more than 4,096 cells, and more than ``4096^2`` snapshot values
+    (``n_cells x (m + 1)``, 128 MiB).  Densities are nonnegative by construction
     and never clipped; ``mass_drift`` is the rounding drift of the final
     mass.
     """
@@ -439,6 +440,9 @@ def propagate_fpe(problem: FpeProblem, horizon: float,
     if problem.initial.n_cells > _MAX_CELLS:
         raise ValueError(f"{problem.initial.n_cells} cells: the propagator is a dense "
                          f"n_cells x n_cells matrix, so at most {_MAX_CELLS} are allowed")
+    if problem.initial.n_cells * (m + 1) > _MAX_CELLS**2:
+        raise ValueError(f"{problem.initial.n_cells} cells x {m + 1} snapshots: at most "
+                         f"{_MAX_CELLS**2} snapshot values are allowed")
 
     a, b = problem.interval
     dx = problem.initial.dx
@@ -452,17 +456,15 @@ def propagate_fpe(problem: FpeProblem, horizon: float,
         p = step @ p
         times.append(k * tau if k < m else horizon)
         snaps.append(GridDensity(a, b, p))
-    return FpeResult(snaps[-1], tuple(times), tuple(snaps),
-                     float(abs(p.sum() * dx - mass0)))
+    return FpeResult(tuple(times), tuple(snaps), float(abs(p.sum() * dx - mass0)))
 
 
-def probability_flux(p: GridDensity, f: Callable, g: Callable,
-                     dgdx: Callable | None = None) -> np.ndarray:
+def probability_flux(p: GridDensity, f: Callable, g: Callable) -> np.ndarray:
     """Pointwise flux ``(f + g g') p - d(g^2 p)/dx / 2`` at cell centers.
 
-    ``g'`` is ``dgdx`` or else finite differences on [a, b]; the derivative
-    of ``g^2 p`` is a centered difference in the interior and a
-    third-order one-sided stencil at the two edge cells.
+    ``g'`` is by finite differences on [a, b]; the derivative of ``g^2 p``
+    is a centered difference in the interior and a third-order one-sided
+    stencil at the two edge cells.
     """
     xs = p.centers
     dx = p.dx
@@ -471,7 +473,7 @@ def probability_flux(p: GridDensity, f: Callable, g: Callable,
     dq[1:-1] = (q[2:] - q[:-2]) / (2 * dx)
     dq[0] = (-11 * q[0] + 18 * q[1] - 9 * q[2] + 2 * q[3]) / (6 * dx)
     dq[-1] = (11 * q[-1] - 18 * q[-2] + 9 * q[-3] - 2 * q[-4]) / (6 * dx)
-    return _velocity(f, g, dgdx, xs, (p.a, p.b)) * p.values - 0.5 * dq
+    return _velocity(f, g, xs, (p.a, p.b)) * p.values - 0.5 * dq
 
 
 def relative_entropy(p: GridDensity, q: GridDensity | np.ndarray) -> float:

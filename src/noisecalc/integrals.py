@@ -16,7 +16,7 @@ whose levels are its run spec's step halved again and again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -117,12 +117,12 @@ def hk_correction(
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Values of one rule's sums over dyadic refinements of a fixed path."""
+    """Values of one rule's sums over dyadic refinements of a fixed path;
+    a diverged level's value is NaN."""
 
     rule: EvaluationRule
     n_steps: tuple[int, ...]
     values: tuple[float, ...]
-    diverged_levels: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if len(self.n_steps) != len(self.values):
@@ -133,6 +133,10 @@ class ConvergenceTable:
     @property
     def extrapolated(self) -> float:
         return self.values[-1]
+
+    @property
+    def diverged_levels(self) -> tuple[int, ...]:
+        return tuple(level for level, v in enumerate(self.values) if np.isnan(v))
 
     @property
     def diverged(self) -> bool:
@@ -191,8 +195,7 @@ def convergence_table(
             sums[rule].append(stochastic_sum(phi, x, x, rule))
     # a non-finite sum is reported as NaN, and its level as diverged
     return [ConvergenceTable(rule, tuple(steps),
-                             tuple(v if np.isfinite(v) else np.nan for v in sums[rule]),
-                             tuple(l for l, v in enumerate(sums[rule]) if not np.isfinite(v)))
+                             tuple(v if np.isfinite(v) else np.nan for v in sums[rule]))
             for rule in rules]
 
 

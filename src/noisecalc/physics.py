@@ -49,7 +49,6 @@ __all__ = [
     "RelativisticParams",
     "InterpretationTriple",
     "MemberDiagnostics",
-    "RestStartReport",
     "kinetic_models",
     "two_particle_models",
     "relativistic_models",
@@ -116,7 +115,7 @@ class RelativisticParams:
         if self.d_hat_prime is not None:
             return self.d_hat_prime(e)
         return finite_diff_gprime(lambda x, t: self.d_hat(x), e, 0.0,
-                                  domain=(self.M, math.inf)).value
+                                  domain=(self.M, math.inf))
 
 
 @dataclass(frozen=True)
@@ -291,23 +290,11 @@ def levy_composite_brownian(
 
 @dataclass(frozen=True)
 class MemberDiagnostics:
-    interpretation: Interpretation
     scheme: SolverScheme
     first_step_drift: float
     violation_fraction: float
     interior_fraction: float
     stuck_fraction: float
-
-
-@dataclass(frozen=True)
-class RestStartReport:
-    members: tuple[MemberDiagnostics, ...]
-
-    def member(self, interpretation: Interpretation) -> MemberDiagnostics:
-        for m in self.members:
-            if m.interpretation is interpretation:
-                return m
-        raise KeyError(interpretation)
 
 
 def _member_boundary(model: SdeModel) -> Boundary:
@@ -319,7 +306,8 @@ def _member_boundary(model: SdeModel) -> Boundary:
     return Reflect(*model.domain)
 
 
-def rest_start_diagnostics(trio: InterpretationTriple, cfg: McConfig) -> RestStartReport:
+def rest_start_diagnostics(trio: InterpretationTriple,
+                           cfg: McConfig) -> tuple[MemberDiagnostics, ...]:
     """Boundary-start comparison across the three interpretations.
 
     Each member runs its own direct scheme.  The Ito and Stratonovich
@@ -329,8 +317,9 @@ def rest_start_diagnostics(trio: InterpretationTriple, cfg: McConfig) -> RestSta
     escape is observed rather than masked.  Reported per member: the
     deterministic first-step drift contribution, the fraction of paths
     with a domain violation, the fraction strictly inside the open domain
-    at the horizon, and the fraction that never left the starting point.
-    Member ``k`` (Ito, Stratonovich, HK) runs ``cfg.n_paths`` paths seeded
+    at the horizon, and the fraction that never left the starting point,
+    one entry per member in ``trio.members()`` order (Ito, Stratonovich,
+    HK).  Member ``k`` runs ``cfg.n_paths`` paths seeded
     ``cfg.seed.child(REST_START, k)`` (the key words are in
     :mod:`noisecalc.paths`), so no two members or studies share noise.
     """
@@ -343,14 +332,13 @@ def rest_start_diagnostics(trio: InterpretationTriple, cfg: McConfig) -> RestSta
         interior = raw.completed & (raw.terminal > lo) & (raw.terminal < hi)
         stuck = raw.completed & ~raw.moved
         members.append(MemberDiagnostics(
-            interpretation=model.interpretation,
             scheme=scheme,
             first_step_drift=float(model.f(model.x0, 0.0)) * cfg.dt,
             violation_fraction=float((raw.violations > 0).mean()),
             interior_fraction=float(interior.mean()),
             stuck_fraction=float(stuck.mean()),
         ))
-    return RestStartReport(tuple(members))
+    return tuple(members)
 
 
 def boundary_hitting_study(
@@ -358,17 +346,15 @@ def boundary_hitting_study(
     level: float,
     band: float,
     cfg: McConfig,
-) -> dict[Interpretation, HittingStats]:
-    """Hitting statistics of the boundary band for each member.
+) -> tuple[HittingStats, ...]:
+    """Hitting statistics of the boundary band for each member, in
+    ``trio.members()`` order.
 
     Ito and Stratonovich members reflect at the domain edge; the HK member
     stops on violation (a violating value through the band counts as a
     hit).  Member ``k`` runs seeded ``cfg.seed.child(HITTING, k)``.
     """
-    out: dict[Interpretation, HittingStats] = {}
-    for k, model in enumerate(trio.members()):
-        member_cfg = replace(cfg, seed=cfg.seed.child(HITTING, k))
-        out[model.interpretation] = hitting_time(
-            model, scheme_for(model.interpretation), level, band, member_cfg,
-            _member_boundary(model))
-    return out
+    return tuple(
+        hitting_time(model, scheme_for(model.interpretation), level, band,
+                     replace(cfg, seed=cfg.seed.child(HITTING, k)), _member_boundary(model))
+        for k, model in enumerate(trio.members()))

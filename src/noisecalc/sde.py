@@ -9,9 +9,9 @@ scheme; see :mod:`noisecalc.solvers`.
 
 Without an analytic ``dg/dx``, :func:`finite_diff_gprime` is the one
 finite-difference rule of the package: step ``h = max(1e-6, 1e-6 |x|)`` per
-point, a central stencil wherever ``x +- h`` stays in the closed domain, a
-one-sided one where it would leave it, and a ``one_sided`` flag on those
-points.  Models, the forward equation and the relativistic family all use it.
+point, a central stencil wherever ``x +- h`` stays in the closed domain and
+a one-sided one where it would leave it.  Models, the forward equation and
+the relativistic family all use it.
 
 Lipschitz / linear-growth hypotheses are not runtime-verified: the kinetic
 case studies deliberately violate them at the boundary, and the factories of
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "EvaluationRule",
     "Interpretation",
     "SdeModel",
-    "GPrime",
     "finite_diff_gprime",
     "to_ito",
     "from_ito",
@@ -102,20 +101,13 @@ _RULE_OF = {
 }
 
 
-class GPrime(NamedTuple):
-    """A derivative estimate plus a reduced-accuracy flag, pointwise."""
-
-    value: float | np.ndarray
-    one_sided: bool | np.ndarray
-
-
 @np.errstate(all="ignore")
 def finite_diff_gprime(
     g: CoefficientFn,
     x: float | np.ndarray,
     t: float,
     domain: tuple[float, float] = (-math.inf, math.inf),
-) -> GPrime:
+) -> float | np.ndarray:
     """Central difference of ``g`` in ``x``; one-sided near a domain edge.
 
     The rule of the module docstring, with ``g`` evaluated twice on all
@@ -134,13 +126,10 @@ def finite_diff_gprime(
     stuck = ~(left_ok | right_ok | np.isnan(xs))
     if stuck.any():
         raise ValueError(f"domain [{lo}, {hi}] too narrow for the stencil at x={xs[stuck].flat[0]}")
-    central = left_ok & right_ok
     value = ((np.asarray(g(np.where(right_ok, xs + h, xs), t), dtype=float)
               - np.asarray(g(np.where(left_ok, xs - h, xs), t), dtype=float))
-             / np.where(central, 2 * h, h))
-    if xs.ndim == 0:
-        return GPrime(float(value), not central)
-    return GPrime(value, ~central)
+             / np.where(left_ok & right_ok, 2 * h, h))
+    return float(value) if xs.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -173,7 +162,7 @@ class SdeModel:
         """Spatial derivative of the diffusion coefficient at ``(x, t)``."""
         if self.dgdx is not None:
             return self.dgdx(x, t)
-        return finite_diff_gprime(self.g, x, t, domain=self.domain).value
+        return finite_diff_gprime(self.g, x, t, domain=self.domain)
 
 
 def _with_offset(model: SdeModel, offset: float) -> CoefficientFn:

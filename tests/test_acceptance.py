@@ -295,8 +295,7 @@ def test_criterion_08_fpe_lyapunov():
     n = 256
     init = GridDensity.from_function(
         lambda x: np.exp(-0.5 * ((x - 1.0) / 0.5) ** 2), -3.0, 3.0, n)
-    prob = FpeProblem(f=OU_F, g=OU_G, interval=(-3.0, 3.0), initial=init,
-                      dgdx=OU_GP)
+    prob = FpeProblem(f=OU_F, g=OU_G, initial=init)
     res = evolve_fpe(prob, 1e-4, 10.0, snapshot_every=0.1)
     target = stationary_density(OU_F, OU_G, (-3.0, 3.0), n)
     h = np.array([relative_entropy(s, target) for s in res.snapshots])
@@ -344,23 +343,20 @@ def test_criterion_10_rest_start_triptych():
     rel = relativistic_models(RelativisticParams(p0=0.0))
     for name, trio, seed in (("single", single, SeedSpec(160)),
                              ("relativistic", rel, SeedSpec(161))):
-        rep = rest_start_diagnostics(
+        ito, strat, hk = rest_start_diagnostics(
             trio, McConfig(n_paths=1000, dt=1e-3, horizon=1.0, seed=seed))
-        ito = rep.member(Interpretation.ITO)
-        strat = rep.member(Interpretation.STRATONOVICH)
-        hk = rep.member(Interpretation.HAENGGI_KLIMONTOVICH)
         ok = ok and ito.interior_fraction == 1.0 and strat.stuck_fraction == 1.0 \
             and hk.violation_fraction >= 0.99
         details.append(f"{name}: hk viol {hk.violation_fraction:.3f}")
 
     pair = two_particle_models(LangevinParams(v0=0.0, u0=0.0))
-    rep = rest_start_diagnostics(
+    ito, strat, hk = rest_start_diagnostics(
         pair, McConfig(n_paths=1000, dt=1e-3, horizon=1.0, seed=SeedSpec(162)))
-    ok = ok and rep.member(Interpretation.ITO).interior_fraction == 1.0 \
-        and rep.member(Interpretation.STRATONOVICH).interior_fraction == 1.0 \
-        and rep.member(Interpretation.HAENGGI_KLIMONTOVICH).stuck_fraction == 1.0
+    ok = ok and ito.interior_fraction == 1.0 \
+        and strat.interior_fraction == 1.0 \
+        and hk.stuck_fraction == 1.0
     details.append("two-particle: hk stuck "
-                   f"{rep.member(Interpretation.HAENGGI_KLIMONTOVICH).stuck_fraction:.3f}")
+                   f"{hk.stuck_fraction:.3f}")
     check(10, "boundary-start behavior separates the three interpretations",
           ok, ", ".join(details))
 

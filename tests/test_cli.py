@@ -505,6 +505,13 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
                  id="stationary-f-difference-of-400-terms"),
     pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 4097, "horizon": 0.1}},
                  id="fpe-one-cell-above-the-cap"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 256, "horizon": 1.0,
+                                                 "snapshot_every": 2.0**-16}},
+                 id="fpe-256-cells-x-65537-snapshots"),
+    pytest.param(["integrate"], {"integrate": {"base_steps": 8, "levels": 20}},
+                 id="integrate-2^23-steps"),
+    pytest.param(["integrate"], {"integrate": {"base_steps": 8, "levels": 1000000}},
+                 id="integrate-a-million-levels"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})

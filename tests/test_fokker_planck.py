@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_vanishing_diffusion_rejected_with_location():
 
 def test_uniform_state_is_fpe_fixed_point():
     init = GridDensity.uniform(0.0, 1.0, 64)
-    prob = FpeProblem(f=ZERO, g=ONE, interval=(0.0, 1.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=ZERO, g=ONE, initial=init)
     res = evolve_fpe(prob, 0.5 * prob.stability_bound(), 0.5)
     assert np.allclose(res.final.values, 1.0, atol=1e-13)
     assert res.mass_drift < 1e-13
@@ -78,7 +79,7 @@ def test_ou_relaxation_and_mass_conservation():
     n = 256
     init = GridDensity.from_function(
         lambda x: np.exp(-0.5 * ((x - 1.0) / 0.5) ** 2), -3.0, 3.0, n)
-    prob = FpeProblem(f=NEG_X, g=SQRT2, interval=(-3.0, 3.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=NEG_X, g=SQRT2, initial=init)
     dt = 1e-4
     res = evolve_fpe(prob, dt, 10_000 * dt)  # exactly 1e4 steps
     assert res.mass_drift <= 1e-8
@@ -91,7 +92,7 @@ def test_ou_relaxation_and_mass_conservation():
 
 def test_cfl_violation_rejected_with_admissible_dt():
     init = GridDensity.uniform(-1.0, 1.0, 64)
-    prob = FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=ZERO, g=ONE, initial=init)
     bound = prob.stability_bound()
     with pytest.raises(ValueError, match="admissible"):
         evolve_fpe(prob, 2 * bound, 1.0)
@@ -101,7 +102,7 @@ def test_cfl_violation_rejected_with_admissible_dt():
 def test_non_positive_dt_rejected(dt):
     # unchecked, dt = 0 divides by zero and a negative dt takes no step and succeeds
     init = GridDensity.uniform(-1.0, 1.0, 16)
-    prob = FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=ZERO, g=ONE, initial=init)
     with pytest.raises(ValueError, match="dt must be positive"):
         evolve_fpe(prob, dt, 1.0)
 
@@ -113,7 +114,7 @@ def test_march_ends_at_the_horizon_in_steps_no_longer_than_dt(horizon, dt):
     # floats; 0.27 / 0.027 rounds down onto 10, but 0.27 / 10 > 0.027, so
     # the march takes 11 steps; 0.5 / 0.025 is 20 steps of exactly dt
     init = GridDensity.uniform(-3.0, 3.0, 16)
-    prob = FpeProblem(f=NEG_X, g=ONE, interval=(-3.0, 3.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=NEG_X, g=ONE, initial=init)
     assert dt <= prob.stability_bound()
     res = evolve_fpe(prob, dt, horizon, snapshot_every=1e-9)  # a snapshot every step
     n_steps = len(res.times) - 1
@@ -185,26 +186,25 @@ def _zero_start(n):
 def test_evolver_equals_reference_loop_bitwise(case):
     n = 96
     well_g = lambda x, t: 0.5 + 0.1 * np.asarray(x, dtype=float) ** 2
-    well_dg = lambda x, t: 0.2 * np.asarray(x, dtype=float)
     if case == "ou-gaussian":
-        f, g, dg, interval = NEG_X, SQRT2, ZERO, (-3.0, 3.0)
+        f, g = NEG_X, SQRT2
         init = GridDensity.from_function(
             lambda x: np.exp(-0.5 * ((x - 1.0) / 0.5) ** 2), -3.0, 3.0, n)
     elif case == "hk-double-well":
         # the velocity changes sign, so both upwind branches run
-        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        f, g = DOUBLE_WELL, well_g
         init = GridDensity.from_function(
             lambda x: np.exp(-2.0 * (x - 0.3) ** 2), -2.0, 2.0, n)
     elif case == "point-mass":
-        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        f, g = DOUBLE_WELL, well_g
         init = GridDensity.point_mass(-2.0, 2.0, n, 0.7)
     elif case == "signed-zero-point-mass":
-        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        f, g = DOUBLE_WELL, well_g
         init = GridDensity(-2.0, 2.0, _zero_start(n))
     else:
-        f, g, dg, interval = DOUBLE_WELL, well_g, well_dg, (-2.0, 2.0)
+        f, g = DOUBLE_WELL, well_g
         init = GridDensity.uniform(-2.0, 2.0, n)
-    prob = FpeProblem(f=f, g=g, interval=interval, initial=init, dgdx=dg)
+    prob = FpeProblem(f=f, g=g, initial=init)
     dt = 0.9 * prob.stability_bound()
     # few steps keep exact zeros alive in the point-mass cases
     horizon = 40 * dt if "point" in case else 0.5
@@ -223,14 +223,14 @@ def test_evolver_equals_reference_loop_bitwise(case):
 @pytest.mark.parametrize("every", [-1.0, 0.0, math.nan])
 def test_non_positive_snapshot_interval_rejected(every):
     init = GridDensity.uniform(-1.0, 1.0, 16)
-    prob = FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=ZERO, g=ONE, initial=init)
     with pytest.raises(ValueError, match="snapshot_every"):
         evolve_fpe(prob, 0.5 * prob.stability_bound(), 0.1, snapshot_every=every)
 
 
 def test_no_snapshots_keeps_start_and_end():
     init = GridDensity.uniform(-1.0, 1.0, 16)
-    prob = FpeProblem(f=NEG_X, g=ONE, interval=(-1.0, 1.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=NEG_X, g=ONE, initial=init)
     dt = 0.5 * prob.stability_bound()
     res = evolve_fpe(prob, dt, 20 * dt, snapshot_every=None)
     assert res.times == (0.0, 20 * dt)
@@ -248,14 +248,14 @@ def test_grid_density_copies_the_callers_array():
 
 def test_flux_uniform_no_drift_is_zero():
     p = GridDensity.uniform(0.0, 1.0, 64)
-    j = probability_flux(p, ZERO, ONE, dgdx=ZERO)
+    j = probability_flux(p, ZERO, ONE)
     assert np.max(np.abs(j)) < 1e-14
 
 
 def test_flux_sign_with_positive_drift():
     p = GridDensity.uniform(0.0, 1.0, 64)
     j = probability_flux(p, lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
-                         ONE, dgdx=ZERO)
+                         ONE)
     assert np.all(j[1:-1] > 0)
 
 
@@ -263,10 +263,10 @@ def test_flux_vanishes_on_stationary_density():
     # discretization of an identically-zero field; the operator is
     # second-order, reaching the 1e-4 scale from 512 cells up
     d256 = stationary_density(DOUBLE_WELL, ONE, (-2.0, 2.0), 256)
-    j256 = np.max(np.abs(probability_flux(d256, DOUBLE_WELL, ONE, dgdx=ZERO)))
+    j256 = np.max(np.abs(probability_flux(d256, DOUBLE_WELL, ONE)))
     assert j256 < 5e-4
     d512 = stationary_density(DOUBLE_WELL, ONE, (-2.0, 2.0), 512)
-    j512 = np.max(np.abs(probability_flux(d512, DOUBLE_WELL, ONE, dgdx=ZERO)))
+    j512 = np.max(np.abs(probability_flux(d512, DOUBLE_WELL, ONE)))
     assert j512 < 1e-4
     ratio = j256 / j512
     # halving the cells must at least halve the bound (measured: ~4, second
@@ -322,7 +322,7 @@ def test_entropy_monotone_along_randomized_problems():
         g = lambda x, t, c=c_coef: 1.0 + c * np.tanh(np.asarray(x, dtype=float))
         init = GridDensity.from_function(
             lambda x: np.exp(-2.0 * (x - 1.0) ** 2), -2.0, 2.0, 128)
-        prob = FpeProblem(f=f, g=g, interval=(-2.0, 2.0), initial=init)
+        prob = FpeProblem(f=f, g=g, initial=init)
         res = evolve_fpe(prob, 0.9 * prob.stability_bound(), 2.0, snapshot_every=0.1)
         target = stationary_density(f, g, (-2.0, 2.0), 128)
         h = np.array([relative_entropy(s, target) for s in res.snapshots])
@@ -397,12 +397,6 @@ def test_grid_density_requires_matching_grids():
         relative_entropy(a, b)
 
 
-def test_fpe_problem_checks_initial_interval():
-    init = GridDensity.uniform(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        FpeProblem(f=ZERO, g=ONE, interval=(-1.0, 1.0), initial=init)
-
-
 # --- the SQRA propagator -----------------------------------------------------
 
 
@@ -410,14 +404,14 @@ def _problem(case, n=256, start=0.3):
     """OU (``f = -x``, ``g = 1``), the HK double well (``f = x - x^3``,
     ``g = 0.5 + 0.1 x^2``), or the stiff OU (``g = 0.1``: potential range
     893 on [-3, 3]), started from a Gaussian of width 0.5."""
-    f, g, dg, interval = {
-        "ou": (NEG_X, ONE, ZERO, (-3.0, 3.0)),
-        "hk-double-well": (DOUBLE_WELL, WELL_G, WELL_DG, (-2.0, 2.0)),
-        "stiff-ou": (NEG_X, TENTH, ZERO, (-3.0, 3.0)),
+    f, g, interval = {
+        "ou": (NEG_X, ONE, (-3.0, 3.0)),
+        "hk-double-well": (DOUBLE_WELL, WELL_G, (-2.0, 2.0)),
+        "stiff-ou": (NEG_X, TENTH, (-3.0, 3.0)),
     }[case]
     init = GridDensity.from_function(
         lambda x: np.exp(-0.5 * ((x - start) / 0.5) ** 2), *interval, n)
-    return FpeProblem(f=f, g=g, interval=interval, initial=init, dgdx=dg)
+    return FpeProblem(f=f, g=g, initial=init)
 
 
 @pytest.mark.parametrize("case", ["ou", "hk-double-well"])
@@ -501,7 +495,7 @@ def test_propagator_rejects_overflowing_rates():
     # g = 0.01 on 16 cells: V changes by ~2e4 between the edge cells
     init = GridDensity.uniform(-3.0, 3.0, 16)
     g = lambda x, t: np.full_like(np.asarray(x, dtype=float), 0.01)
-    prob = FpeProblem(f=NEG_X, g=g, interval=(-3.0, 3.0), initial=init, dgdx=ZERO)
+    prob = FpeProblem(f=NEG_X, g=g, initial=init)
     with pytest.raises(ValueError, match="overflow"):
         propagate_fpe(prob, 1.0, 0.1)
 
@@ -514,6 +508,42 @@ def test_propagator_rejects_a_cell_count_above_the_cap_before_it_allocates(monke
     monkeypatch.setattr(fp, "_sqra_generator", unreachable)
     with pytest.raises(ValueError, match="4097 cells"):
         propagate_fpe(_problem("ou", n=4097), 1.0, 0.1)
+
+
+class _GeneratorReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n_cells, m, raised", [
+    (673, 24928, ValueError),  # 673 x 24929 = 4096^2 + 1 snapshot values
+    (256, 65535, _GeneratorReached),  # 256 x 65536 = 4096^2: on to the generator
+])
+def test_propagator_bounds_the_snapshot_values_before_it_allocates(monkeypatch, n_cells, m,
+                                                                    raised):
+    import noisecalc.fokker_planck as fp
+
+    def unreachable(problem):
+        raise _GeneratorReached
+    monkeypatch.setattr(fp, "_sqra_generator", unreachable)
+    with pytest.raises(raised) as err:
+        propagate_fpe(_problem("ou", n=n_cells), m * 0.125, 0.125)
+    if raised is ValueError:
+        assert f"{n_cells} cells x {m + 1} snapshots" in str(err.value)
+
+
+def test_every_problem_field_changes_the_snapshots():
+    """Each field of FpeProblem is read by the propagator: changing any one
+    of them changes a propagated snapshot (the start aside)."""
+    base = _problem("hk-double-well", n=32)
+    variants = {"f": replace(base, f=NEG_X), "g": replace(base, g=ONE),
+                "initial": _problem("hk-double-well", n=32, start=-0.3)}
+    assert set(variants) == {f.name for f in fields(FpeProblem)}
+
+    def snapshots(problem):
+        return [s.values for s in propagate_fpe(problem, 0.5, 0.25).snapshots[1:]]
+    same = [name for name, problem in variants.items()
+            if all(map(np.array_equal, snapshots(problem), snapshots(base)))]
+    assert same == []
 
 
 def test_propagator_allows_the_largest_snapshot_count():
@@ -535,17 +565,24 @@ def test_advective_limit_keeps_the_stiff_march_nonnegative():
 
 def test_velocity_and_flux_without_dgdx_match_the_analytic_derivative():
     init = GridDensity.from_function(lambda x: np.exp(-(x - 0.3) ** 2), -2.0, 2.0, 64)
-    exact = FpeProblem(f=DOUBLE_WELL, g=WELL_G, interval=(-2.0, 2.0), initial=init,
-                       dgdx=WELL_DG)
-    fd = FpeProblem(f=DOUBLE_WELL, g=WELL_G, interval=(-2.0, 2.0), initial=init)
+    fd = FpeProblem(f=DOUBLE_WELL, g=WELL_G, initial=init)
+    exact = lambda x: DOUBLE_WELL(x, 0.0) + WELL_G(x, 0.0) * WELL_DG(x, 0.0)
     inner = np.linspace(-2.0, 2.0, 401)[1:-1]
-    assert np.max(np.abs(fd.velocity(inner) - exact.velocity(inner))) < 1e-8
+    assert np.max(np.abs(fd.velocity(inner) - exact(inner))) < 1e-8
     # the interval's edges take one-sided stencils instead of leaving it
     edges = np.array([-2.0, 2.0])
-    assert np.max(np.abs(fd.velocity(edges) - exact.velocity(edges))) < 1e-6
-    assert fd.stability_bound() == pytest.approx(exact.stability_bound(), rel=1e-6)
+    assert np.max(np.abs(fd.velocity(edges) - exact(edges))) < 1e-6
+    xs, dx = np.linspace(-2.0, 2.0, 512), init.dx
+    bound = min(0.4 * dx**2 / np.max(WELL_G(xs, 0.0) ** 2), 0.5 * dx / np.max(np.abs(exact(xs))))
+    assert fd.stability_bound() == pytest.approx(bound, rel=1e-6)
+    # the flux with the analytic velocity, and the documented stencil for d(g^2 p)/dx
+    q = WELL_G(init.centers, 0.0) ** 2 * init.values
+    dq = np.empty_like(q)
+    dq[1:-1] = (q[2:] - q[:-2]) / (2 * dx)
+    dq[0] = (-11 * q[0] + 18 * q[1] - 9 * q[2] + 2 * q[3]) / (6 * dx)
+    dq[-1] = (11 * q[-1] - 18 * q[-2] + 9 * q[-3] - 2 * q[-4]) / (6 * dx)
+    j_exact = exact(init.centers) * init.values - 0.5 * dq
     j_fd = probability_flux(init, DOUBLE_WELL, WELL_G)
-    j_exact = probability_flux(init, DOUBLE_WELL, WELL_G, dgdx=WELL_DG)
     assert np.max(np.abs(j_fd - j_exact)) < 1e-8
 
 

@@ -16,6 +16,9 @@ _WELL = {"custom": {"f": "x - x^3", "g": "0.5 + 0.1*x^2", "interpretation": "hk"
                     "domain": [None, None], "x0": 0.1}}
 _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito", "domain": [None, None],
                   "x0": 0.0}}
+_EXPERIMENT = {"experiment": {
+    "dt": 0.01, "n_seeds": 8, "horizon": 0.1,
+    "hitting": {"band": 0.05, "n_paths": 8, "dt": 0.01, "horizon": 2.0}}}
 
 # id -> (argv, config, exit code)
 _JOBS = {
@@ -26,9 +29,9 @@ _JOBS = {
     "simulate-reflected": (["simulate"], {"model": {"custom": {**_OU["custom"], "x0": 0.5}},
                                           "run": {"n_paths": 8, "dt": 0.01, "horizon": 0.5,
                                                   "boundary": {"reflect": [0.0, 1.0]}}}, 0),
-    "experiment": (["experiment", "langevin1"], {"experiment": {
-        "dt": 0.01, "n_seeds": 8, "horizon": 0.1,
-        "hitting": {"band": 0.05, "n_paths": 8, "dt": 0.01, "horizon": 2.0}}}, 0),
+    "experiment": (["experiment", "langevin1"], _EXPERIMENT, 0),
+    "experiment-langevin2": (["experiment", "langevin2"], _EXPERIMENT, 0),
+    "experiment-relativistic": (["experiment", "relativistic"], _EXPERIMENT, 0),
     "fpe": (["fpe"], {"model": _OU, "fpe": {
         "n_cells": 16, "horizon": 0.2, "snapshot_every": 0.1}}, 0),
     "fpe-gaussian": (["fpe"], {"model": _WELL, "fpe": {
@@ -65,6 +68,14 @@ _DIGESTS = {
     "experiment": {
         "experiment_langevin1.json":
             "91ca43c6012eca5359a60183acf1fbdfd6a702189be3e1213ca4e82a9b80f1a6",
+    },
+    "experiment-langevin2": {
+        "experiment_langevin2.json":
+            "45c8293634f5de221c5845197902584e05c87063c60b9726a661d1cd01b7eaaa",
+    },
+    "experiment-relativistic": {
+        "experiment_relativistic.json":
+            "784aabef8c8f72f90172db24c1fd7c9dd04efd9a704ff993b6bf19b856b4b34a",
     },
     "fpe": {
         "density.csv":

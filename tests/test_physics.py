@@ -146,11 +146,8 @@ def test_composite_noise_requires_shared_grid():
 
 def test_rest_start_triptych_single_particle():
     trio = kinetic_models(LangevinParams(v0=0.0))
-    rep = rest_start_diagnostics(
+    ito, strat, hk = rest_start_diagnostics(
         trio, McConfig(n_paths=300, dt=1e-3, horizon=1.0, seed=SeedSpec(16)))
-    ito = rep.member(Interpretation.ITO)
-    strat = rep.member(Interpretation.STRATONOVICH)
-    hk = rep.member(Interpretation.HAENGGI_KLIMONTOVICH)
     assert ito.first_step_drift > 0
     assert strat.first_step_drift == 0.0
     assert hk.first_step_drift < 0
@@ -161,20 +158,20 @@ def test_rest_start_triptych_single_particle():
 
 def test_rest_start_triptych_two_particles():
     trio = two_particle_models(LangevinParams(v0=0.0, u0=0.0))
-    rep = rest_start_diagnostics(
+    ito, strat, hk = rest_start_diagnostics(
         trio, McConfig(n_paths=300, dt=1e-3, horizon=1.0, seed=SeedSpec(17)))
-    assert rep.member(Interpretation.ITO).interior_fraction == 1.0
-    assert rep.member(Interpretation.STRATONOVICH).interior_fraction == 1.0
-    assert rep.member(Interpretation.HAENGGI_KLIMONTOVICH).stuck_fraction == 1.0
+    assert ito.interior_fraction == 1.0
+    assert strat.interior_fraction == 1.0
+    assert hk.stuck_fraction == 1.0
 
 
 def test_rest_start_triptych_relativistic():
     trio = relativistic_models(RelativisticParams(p0=0.0))
-    rep = rest_start_diagnostics(
+    ito, strat, hk = rest_start_diagnostics(
         trio, McConfig(n_paths=300, dt=1e-3, horizon=1.0, seed=SeedSpec(18)))
-    assert rep.member(Interpretation.ITO).interior_fraction == 1.0
-    assert rep.member(Interpretation.STRATONOVICH).stuck_fraction == 1.0
-    assert rep.member(Interpretation.HAENGGI_KLIMONTOVICH).violation_fraction >= 0.99
+    assert ito.interior_fraction == 1.0
+    assert strat.stuck_fraction == 1.0
+    assert hk.violation_fraction >= 0.99
 
 
 def test_relativistic_energy_floor_flagged_not_clamped_silently():
@@ -205,8 +202,8 @@ def test_boundary_hitting_study_returns_all_members():
     trio = kinetic_models(LangevinParams(v0=1.0))
     cfg = McConfig(n_paths=50, dt=1e-3, horizon=2.0, seed=SeedSpec(20))
     out = boundary_hitting_study(trio, 0.0, 1e-3, cfg)
-    assert set(out) == set(Interpretation)
-    for stats in out.values():
+    assert len(out) == 3
+    for stats in out:
         assert 0.0 <= stats.fraction_hit <= 1.0
 
 
@@ -252,7 +249,7 @@ def test_every_run_spec_field_changes_every_result():
                 "seed": replace(base, seed=SeedSpec(1001))}
     # the base runs are not degenerate: some walks hit, some do not
     assert 0 < runs["hitting_time"](base).n_hit < base.n_paths
-    assert 0 < rest_start_diagnostics(trio, base).members[2].violation_fraction < 1
+    assert 0 < rest_start_diagnostics(trio, base)[2].violation_fraction < 1
     same = [(name, field) for name, run in runs.items() for field, cfg in variants.items()
             if run(cfg) == run(base)]
     assert same == []

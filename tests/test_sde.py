@@ -125,19 +125,21 @@ def test_conversion_uses_finite_differences_without_dgdx():
 def test_finite_diff_polynomial():
     g = lambda x, t: x**2
     res = finite_diff_gprime(g, 3.0, 0.0)
-    assert res.value == pytest.approx(6.0, abs=1e-6)
-    assert not res.one_sided
+    assert res == pytest.approx(6.0, abs=1e-6)
+    h = 3e-6  # the central stencil: x +- h stays in the domain
+    assert res == (g(3.0 + h, 0.0) - g(3.0 - h, 0.0)) / (2 * h)
 
 
 def test_finite_diff_constant():
     res = finite_diff_gprime(lambda x, t: 5.5, 1.0, 0.0)
-    assert res.value == pytest.approx(0.0, abs=1e-9)
+    assert res == pytest.approx(0.0, abs=1e-9)
 
 
 def test_finite_diff_one_sided_near_edge():
     g = lambda x, t: math.sqrt(2.0 * x)
     res = finite_diff_gprime(g, 1e-8, 0.0, domain=(0.0, math.inf))
-    assert res.one_sided
+    h = 1e-6  # the forward stencil: x - h would leave the domain
+    assert res == (g(1e-8 + h, 0.0) - g(1e-8, 0.0)) / h
 
 
 def test_model_validation():
@@ -217,13 +219,13 @@ def test_vector_gprime_matches_scalar_loop_bit_for_bit(case):
     ref_value, ref_flag = _loop_gprime(model, xs, 0.3)
     assert np.array_equal(model.gprime(xs, 0.3), ref_value)
     res = finite_diff_gprime(model.g, xs, 0.3, domain=model.domain)
-    assert np.array_equal(res.value, ref_value)
-    assert np.array_equal(res.one_sided, ref_flag)
+    assert np.array_equal(res, ref_value)
+    # the reference took its one-sided stencil near an edge of the domain
     assert ref_flag.any() == (case > 0)
-    # a scalar in gives Python floats out, the same numbers
+    # a scalar in gives a Python float out, the same number
     one = finite_diff_gprime(model.g, float(xs[-1]), 0.3, domain=model.domain)
-    assert type(one.value) is float and type(one.one_sided) is bool
-    assert (one.value, one.one_sided) == (ref_value[-1], ref_flag[-1])
+    assert type(one) is float
+    assert one == ref_value[-1]
     assert model.gprime(float(xs[-1]), 0.3) == ref_value[-1]
 
 
@@ -239,8 +241,8 @@ def test_vector_gprime_gives_nan_at_a_nan_point():
     # a diverged state is not a stencil error; the other points keep their value
     g = lambda x, t: 0.5 + np.abs(x)
     res = finite_diff_gprime(g, np.array([np.nan, 2.0, np.inf]), 0.0)
-    assert np.isnan(res.value[0]) and res.value[1] == finite_diff_gprime(g, 2.0, 0.0).value
-    assert math.isnan(finite_diff_gprime(g, math.nan, 0.0, domain=(0.0, math.inf)).value)
+    assert np.isnan(res[0]) and res[1] == finite_diff_gprime(g, 2.0, 0.0)
+    assert math.isnan(finite_diff_gprime(g, math.nan, 0.0, domain=(0.0, math.inf)))
 
 
 def test_conversion_without_dgdx_evaluates_g_three_times():
