@@ -63,10 +63,12 @@ from .solvers import (Boundary, McConfig, NumericError, Reflect, STOP_ON_VIOLATI
 __all__ = ["main", "ConfigError", "NumericError"]
 
 
-# Rows of a CSV formatted at a time by ``_write_csv``.
+# Rows of a CSV formatted and written at a time by ``_write_csv``.
 _CSV_BLOCK = 4096
 # Most steps of the finest path ``integrate`` refines to (base_steps x
-# 2^levels); each level is a path in memory, 32 MiB at this size.
+# 2^levels).  A path of this size holds 64 MiB (times and values); with
+# the path it is refined from and its block-sized bridge buffers a run at
+# the cap allocates at most about 133 MiB at once.
 _MAX_INTEGRATE_STEPS = 2**22
 
 
@@ -307,28 +309,40 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the strings ``chunks`` yields to ``<path>.tmp``, each as soon as
+    it comes, then rename the file to ``path``.  If a chunk raises, the
+    ``.tmp`` file is removed and ``path`` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            for chunk in chunks:
+                f.write(chunk)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def _write_csv(path: Path, header: str, columns, trailer: str) -> None:
     """``header``, one row per entry of the equal-length ``columns``, then
     ``trailer``.  A value is written as ``repr`` of its Python number: the
     shortest decimal that reads back to the same float, and an integer
-    column stays integral.  Rows are formatted a block at a time, which
-    converts no whole column to Python objects at once."""
-    rows = [header + "\n"]
+    column stays integral.  Rows are formatted and written a block at a
+    time, so no whole column, row list or file text is held at once."""
+    _write_atomic(path, _csv_chunks(header, columns, trailer))
+
+
+def _csv_chunks(header: str, columns, trailer: str):
+    yield header + "\n"
     for i in range(0, len(columns[0]), _CSV_BLOCK):
         cells = [map(repr, np.asarray(c[i:i + _CSV_BLOCK]).tolist()) for c in columns]
-        rows.extend(",".join(row) + "\n" for row in zip(*cells))
-    rows.append(trailer)
-    _write_text(path, "".join(rows))
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    yield trailer
 
 
 def _hk_form(model: SdeModel) -> SdeModel:

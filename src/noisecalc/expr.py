@@ -34,9 +34,9 @@ sec. 3.1).  Every other exponent, ``x^4``, ``x^2.5``, ``x^-1``, ``x^t`` or
 chain ``x + x + ...`` is one level) and the parser's open groups
 (parentheses, function arguments, unary minus and exponents), with an
 :class:`ExprSyntaxError` at the position where the limit is crossed.  Every
-later stage walks the tree recursively, and the derivative of a tree at the
-limit is a few times deeper, so the limit keeps each of them well inside
-Python's recursion limit.
+later stage but :func:`reads_t` walks the tree recursively, and the
+derivative of a tree at the limit is a few times deeper, so the limit keeps
+each of them well inside Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -299,12 +299,15 @@ def parse(source: str) -> Expr:
 
 
 def reads_t(e: Expr) -> bool:
-    """Whether the expression reads the time variable ``t``."""
-    def reads(node: Node) -> bool:
-        if isinstance(node, Var):
-            return node.name == "t"
-        return any(reads(c) for c in vars(node).values() if isinstance(c, Node))
-    return reads(e.root)
+    """Whether the expression reads the time variable ``t``.  The walk keeps
+    an explicit stack, so it adds no Python frames however deep the tree."""
+    stack = [e.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var) and node.name == "t":
+            return True
+        stack.extend(c for c in vars(node).values() if isinstance(c, Node))
+    return False
 
 
 # --- evaluation ------------------------------------------------------------

@@ -63,6 +63,7 @@ def _rule_factors(values: np.ndarray, integrand: np.ndarray, rule: EvaluationRul
     first axis, so vector paths work row by row).  For the
     midpoint rule the partition coarsens to pairs of steps and the interior
     point supplies the evaluation value; an odd number of steps is rejected.
+    The increments are always a new array, which the caller may overwrite.
     """
     if rule is EvaluationRule.LEFT:
         return values[:-1], np.diff(integrand, axis=0)
@@ -83,7 +84,8 @@ def stochastic_sum(
     """Sum of ``phi(eval value) * (integrator increment)`` under ``rule``."""
     _check_same_grid(eval_path, integrator)
     pts, incs = _rule_factors(eval_path.values, integrator.values, rule)
-    return float(np.sum(_apply_scalar(phi, pts) * incs))
+    # the increments are a fresh array: the products overwrite them
+    return float(np.sum(np.multiply(_apply_scalar(phi, pts), incs, out=incs)))
 
 
 def realized_variation(path: SamplePath) -> float:

@@ -38,6 +38,8 @@ __all__ = [
 
 # Paths per noise block: one generator serves BLOCK consecutive paths.
 BLOCK = 64
+# Intervals a bridge refinement works on at a time (see _bridge_points).
+_BRIDGE_BLOCK = 2**14
 
 # Key words of the stream rule; each but the block tag is followed by an index.
 REST_START = 1  # rest-start study; then the member (0 Ito, 1 Strat., 2 HK)
@@ -287,57 +289,70 @@ def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:
 
     Values at the original points are kept; new interior values are drawn
     from the Brownian bridge conditional law between the retained endpoints,
-    sampled left to right within each interval (one vectorized normal draw
-    per sub-level, in increasing order of the substep index).
+    sampled left to right within each interval (one normal per interval and
+    sub-level, drawn sub-level by sub-level in increasing order of the
+    substep index, and within a sub-level in time order).
     """
     if factor < 2:
         raise ValueError(f"refinement factor must be >= 2, got {factor}")
     if path.grid.n_steps < 1:
         raise ValueError("cannot refine a single-point path")
     # a helper, so that the bridge's temporaries are freed before the new
-    # path copies its two arrays: this lowers the peak memory of a refinement
+    # path copies its two arrays, and each raw array is dropped as soon as
+    # it is copied: this lowers the peak memory of a refinement
     new_t, new_w = _bridge_points(path.grid.points, path.values, factor, seed)
-    return SamplePath(TimeGrid(new_t), new_w)
+    grid = TimeGrid(new_t)
+    del new_t
+    return SamplePath(grid, new_w)
 
 
 def _bridge_points(t: np.ndarray, w: np.ndarray, factor: int,
                    seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
     """The refined points and values.  Sub-level ``k`` writes straight into
     the strided views ``new_t[k::factor]`` and ``new_w[k::factor]`` and
-    reads sub-level ``k - 1`` from the views before them; its temporaries
-    are ``out=`` buffers allocated once.  The ufuncs run in the order of
-    the plain expressions
+    reads sub-level ``k - 1`` from the views before them, a block of at
+    most ``_BRIDGE_BLOCK`` intervals at a time; its temporaries are
+    block-sized ``out=`` buffers allocated once.  Each block draws its
+    normals in turn, which takes the same numbers from the generator as one
+    draw for the whole sub-level.  The ufuncs run in the order of the plain
+    expressions
+    ``sub = (t_right - t) / factor``,
     ``tau_k = t + k * sub``,
     ``mean = x + (w_right - x) * (tau_k - tau) / (t_right - tau)``,
     ``var = (tau_k - tau) * (t_right - tau_k) / (t_right - tau)`` and
     ``x_k = mean + sqrt(var) * z``, so the result is the same bit for bit.
     """
     n = t.size - 1
-    sub = np.diff(t) / factor
     new_t = np.empty(n * factor + 1)
     new_w = np.empty(n * factor + 1)
     new_t[::factor] = t
     new_w[::factor] = w
 
     rng = seed.generator()
-    t_left, t_right, w_right = t[:-1], t[1:], w[1:]
-    rem, step, tmp, z = (np.empty(n) for _ in range(4))
+    buffers = [np.empty(min(n, _BRIDGE_BLOCK)) for _ in range(4)]
     for k in range(1, factor):
-        tau, x = new_t[k - 1::factor][:n], new_w[k - 1::factor][:n]
-        tau_k, x_k = new_t[k::factor], new_w[k::factor]
-        np.multiply(k, sub, out=tmp)
-        np.add(t_left, tmp, out=tau_k)
-        np.subtract(t_right, tau, out=rem)
-        np.subtract(tau_k, tau, out=step)
-        np.subtract(w_right, x, out=tmp)
-        np.multiply(tmp, step, out=tmp)
-        np.divide(tmp, rem, out=tmp)
-        np.add(x, tmp, out=x_k)                  # the bridge mean
-        np.subtract(t_right, tau_k, out=tmp)
-        np.multiply(step, tmp, out=step)
-        np.divide(step, rem, out=step)           # the bridge variance
-        np.sqrt(step, out=step)
-        rng.standard_normal(out=z)
-        np.multiply(step, z, out=z)
-        np.add(x_k, z, out=x_k)
+        taus, xs = new_t[k - 1::factor], new_w[k - 1::factor]
+        tau_ks, x_ks = new_t[k::factor], new_w[k::factor]
+        for lo in range(0, n, _BRIDGE_BLOCK):
+            hi = min(lo + _BRIDGE_BLOCK, n)
+            rem, step, tmp, z = (b[:hi - lo] for b in buffers)
+            t_left, t_right, w_right = t[lo:hi], t[lo + 1:hi + 1], w[lo + 1:hi + 1]
+            tau, x, tau_k, x_k = taus[lo:hi], xs[lo:hi], tau_ks[lo:hi], x_ks[lo:hi]
+            np.subtract(t_right, t_left, out=tmp)
+            np.divide(tmp, factor, out=tmp)          # the substep
+            np.multiply(k, tmp, out=tmp)
+            np.add(t_left, tmp, out=tau_k)
+            np.subtract(t_right, tau, out=rem)
+            np.subtract(tau_k, tau, out=step)
+            np.subtract(w_right, x, out=tmp)
+            np.multiply(tmp, step, out=tmp)
+            np.divide(tmp, rem, out=tmp)
+            np.add(x, tmp, out=x_k)                  # the bridge mean
+            np.subtract(t_right, tau_k, out=tmp)
+            np.multiply(step, tmp, out=step)
+            np.divide(step, rem, out=step)           # the bridge variance
+            np.sqrt(step, out=step)
+            rng.standard_normal(out=z)
+            np.multiply(step, z, out=z)
+            np.add(x_k, z, out=x_k)
     return new_t, new_w

@@ -129,13 +129,6 @@ class InterpretationTriple:
     def members(self) -> list[SdeModel]:
         return [self.ito, self.stratonovich, self.hk]
 
-    def member(self, interpretation: Interpretation) -> SdeModel:
-        return {
-            Interpretation.ITO: self.ito,
-            Interpretation.STRATONOVICH: self.stratonovich,
-            Interpretation.HAENGGI_KLIMONTOVICH: self.hk,
-        }[interpretation]
-
 
 def _kinetic_family(params: LangevinParams, delta: int, x0: float) -> InterpretationTriple:
     """The kinetic family of the module docstring: each member's drift

@@ -221,7 +221,8 @@ def _well(x0=0.1, interpretation=Interpretation.HAENGGI_KLIMONTOVICH,
 
 
 def _kinetic(interpretation, **params):
-    return kinetic_models(LangevinParams(**params)).member(interpretation)
+    trio = kinetic_models(LangevinParams(**params))
+    return dict(zip(Interpretation, trio.members()))[interpretation]
 
 
 ITO, STRAT, HK = (Interpretation.ITO, Interpretation.STRATONOVICH,

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -292,3 +293,25 @@ def test_depth_error_points_where_the_limit_is_crossed():
     with pytest.raises(xp.ExprSyntaxError) as err:
         xp.parse("(" * (_AT + 5) + "x" + ")" * (_AT + 5))
     assert err.value.pos == _AT  # the group opened at level MAX_DEPTH + 1
+
+
+def _depth() -> int:
+    """Frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_reads_t_adds_no_frames_per_level():
+    """``parse`` builds a ``x + x + ...`` chain in a loop; ``reads_t`` walks
+    it with its own stack, so it runs a few frames above its caller."""
+    deepest_t = xp.parse(" + ".join(["t"] + ["x"] * 99))  # t is the deepest leaf
+    no_t = xp.parse(" + ".join(["x"] * 100))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 20)
+    try:
+        reads = xp.reads_t(deepest_t), xp.reads_t(no_t)
+    finally:
+        sys.setrecursionlimit(old)
+    assert reads == (True, False)

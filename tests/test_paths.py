@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from noisecalc import expr as xp
+from noisecalc import paths
 from noisecalc.cli import main
 from noisecalc.paths import (
     SamplePath,
@@ -234,3 +236,44 @@ def test_bridge_equals_reference_loop_bitwise(grid, factor):
     ref_t, ref_w = _reference_bridge_points(g.points, w.values, factor, seed)
     assert np.array_equal(r.grid.points, ref_t)
     assert np.array_equal(r.values, ref_w)
+
+
+def _bridge_input(grid: str, n: int) -> SamplePath:
+    if grid == "uniform":
+        g = TimeGrid.uniform(0.0, 1.0, n)
+    else:
+        steps = np.random.default_rng(n).uniform(1e-4, 1e-2, n)
+        g = TimeGrid(np.concatenate([[0.3], 0.3 + np.cumsum(steps)]))
+    return generate_brownian(g, SeedSpec(23, n))
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4])
+@pytest.mark.parametrize("blocks", ["block-1", "block", "block+1", "2block+1"])
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+def test_blocked_bridge_equals_reference_at_block_edges(grid, blocks, factor):
+    """Interval counts on either side of the bridge's block size: the blocks
+    split each sub-level, and its normals, without moving a bit."""
+    b = paths._BRIDGE_BLOCK
+    n = {"block-1": b - 1, "block": b, "block+1": b + 1, "2block+1": 2 * b + 1}[blocks]
+    w = _bridge_input(grid, n)
+    seed = SeedSpec(23, 9)
+    r = refine_bridge(w, factor, seed)
+    ref_t, ref_w = _reference_bridge_points(w.grid.points, w.values, factor, seed)
+    assert np.array_equal(r.grid.points, ref_t)
+    assert np.array_equal(r.values, ref_w)
+
+
+def test_refine_bridge_peak_memory_is_bounded():
+    """Refining a 2^17-step path by 2 allocates at most 1.75x the returned
+    path's bytes beyond what was held before: the bridge's temporaries are
+    block-sized, and each raw array is dropped once the path has copied it
+    (whole-size temporaries read 2.25x)."""
+    w = generate_brownian(TimeGrid.uniform(0.0, 1.0, 2**17), SeedSpec(31))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        r = refine_bridge(w, 2, SeedSpec(31, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 1.75 * (r.grid.points.nbytes + r.values.nbytes)
