@@ -118,6 +118,11 @@ class PathNoise:
             for b in range(first, first + int(self._block[-1]) + 1)
         ]
 
+    def columns(self, ids: np.ndarray) -> int:
+        """Normals a step of :meth:`draw` takes for the paths ``ids``: a
+        tile row of each block holding one of them."""
+        return np.unique(self._block[ids]).size * BLOCK
+
     def draw(self, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``width`` steps of noise of the paths ``ids``, as
         ``(tiles, at)``: path ``ids[j]``'s draw at step ``s`` of the call is

@@ -31,9 +31,16 @@ Ensembles are vectorized across paths.  Path ``i`` of a run seeded
 ``(master, stream, key)`` draws its noise through
 :class:`~noisecalc.paths.PathNoise` as path number ``stream + i`` (one
 column of a 64-path block stream), so a path's draws are independent of how
-many other paths run, of the 512-step chunking and of when paths stop; a
-run seeded ``SeedSpec(m, i)`` equals path ``i`` of one seeded
-``SeedSpec(m)``.
+many other paths run, of the chunking and of when paths stop; a run seeded
+``SeedSpec(m, i)`` equals path ``i`` of one seeded ``SeedSpec(m)``.
+
+The engine and the exact oracles draw their noise a chunk of steps at a
+time (:func:`_chunk_steps`): a chunk holds at most ``_NOISE_BUDGET``
+normals (1 MiB), but never fewer than ``_MIN_CHUNK`` steps, nor more than
+``_MAX_CHUNK`` steps or the steps left.  The noise source supplies the
+normals a step draws: 64 for each live block of a seeded run, and none for
+a given increment matrix, which is read in ``_MAX_CHUNK``-step chunks.  A
+run too wide for the budget draws ``_MIN_CHUNK`` steps, 512 B per path.
 
 Stepping contract of the engine, which keeps its outputs bit for bit those
 of a loop that gathers, projects and writes back every live path each step:
@@ -86,8 +93,22 @@ __all__ = [
 ]
 
 _DOMAIN_TOL = 1e-12
-# Steps of noise drawn per path at a time by the engine and the exact oracles.
-_CHUNK = 512
+# Noise chunks of the engine and the exact oracles (_chunk_steps): at most
+# this many normals a chunk, and between _MIN_CHUNK and _MAX_CHUNK steps.
+_NOISE_BUDGET = 2**17
+_MIN_CHUNK = 64
+_MAX_CHUNK = 512
+# Most paths and steps of a run (McConfig).  A terminal-only run holds 24 B
+# a step (times, spacings and noise scales) and about 700 B a path (state,
+# counters and one _MIN_CHUNK-step noise chunk): 100 MB and 700 MB at the bounds.
+_MAX_PATHS = 10**6
+_MAX_STEPS = 2**22
+
+
+def _chunk_steps(columns: int, left: int) -> int:
+    """Steps of the next noise chunk, of ``left`` still to run, when each
+    step draws ``columns`` normals."""
+    return min(left, _MAX_CHUNK, max(_MIN_CHUNK, _NOISE_BUDGET // max(columns, 1)))
 
 
 class NumericError(RuntimeError):
@@ -186,7 +207,8 @@ class HittingStats:
 class McConfig:
     """Run spec: ``n_paths`` paths of ``horizon / dt`` steps, path ``i``
     seeded as path number ``stream + i`` of ``seed``.  Every function that
-    takes one reads all four fields."""
+    takes one reads all four fields.  A run has at most ``_MAX_PATHS``
+    paths and ``_MAX_STEPS`` steps, checked before anything is allocated."""
 
     n_paths: int
     dt: float
@@ -196,6 +218,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if self.n_paths > _MAX_PATHS:
+            raise ValueError(f"n_paths must be at most {_MAX_PATHS}, got {self.n_paths}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
@@ -204,6 +228,9 @@ class McConfig:
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"horizon {self.horizon} is not a whole number of "
                              f"dt={self.dt} steps")
+        if round(steps) > _MAX_STEPS:
+            raise ValueError(f"horizon {self.horizon} is {round(steps)} steps of "
+                             f"dt={self.dt}; at most {_MAX_STEPS} are allowed")
 
     @property
     def n_steps(self) -> int:
@@ -289,6 +316,10 @@ class _GivenNoise:
         if dw.shape != (n_paths, n_steps):
             raise ValueError(f"increments of shape {dw.shape}, expected ({n_paths}, {n_steps})")
         self._flat, self._n_steps, self._step = dw.reshape(-1), n_steps, 0
+
+    def columns(self, ids: np.ndarray) -> int:
+        """Normals a step draws: none, the increments are given."""
+        return 0
 
     def draw(self, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         at = ids * self._n_steps + self._step
@@ -407,7 +438,7 @@ def _run_engine(
     stride = noise.stride
     step = 0
     while step < n_steps and ids.size:
-        width = min(_CHUNK, n_steps - step)
+        width = _chunk_steps(noise.columns(ids), n_steps - step)
         tiles, at = noise.draw(ids, width)
         # the chunk's live rows: path ids, states, moved flags and noise
         # offsets, gathered again only when a path stops
@@ -611,7 +642,8 @@ def _oracle_velocities(
     h, n_paths: int, seed: SeedSpec, level: float | None = None,
 ) -> np.ndarray:
     """Velocities ``(n_paths, len(h) + 1, delta)`` of oracle paths over the
-    spacings ``h``, drawn ``_CHUNK`` steps a call.  With a ``level``, each
+    spacings ``h``, drawn a chunk of :func:`_chunk_steps` steps a call, each
+    step drawing ``delta`` normals per live path.  With a ``level``, each
     path's first step of energy at most ``level`` instead (-1 for none); a
     path draws no chunk after the one it hits in.
     """
@@ -633,7 +665,7 @@ def _oracle_velocities(
 
     step = 0
     while step < n_steps and live.size:
-        width = min(_CHUNK, n_steps - step)
+        width = _chunk_steps(live.size * delta, n_steps - step)
         z = np.empty((live.size, delta, width))
         for row, i in enumerate(live):
             for c, gen in enumerate(gens[i]):

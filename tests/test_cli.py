@@ -510,6 +510,12 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
                  id="fpe-256-cells-x-65537-snapshots"),
     pytest.param(["integrate"], {"integrate": {"base_steps": 8, "levels": 20}},
                  id="integrate-2^23-steps"),
+    pytest.param(["simulate"], {"model": _OU, "run": {"n_paths": 3, "dt": 1e-3,
+                                                      "horizon": 1e9}},
+                 id="simulate-10^12-steps"),
+    pytest.param(["simulate"], {"model": _OU, "run": {"n_paths": 1e11, "dt": 0.01,
+                                                      "horizon": 0.1}},
+                 id="simulate-10^11-paths"),
     pytest.param(["integrate"], {"integrate": {"base_steps": 8, "levels": 1000000}},
                  id="integrate-a-million-levels"),
 ])

@@ -17,6 +17,7 @@ from noisecalc import expr as xp
 from noisecalc.paths import BLOCK, PathNoise, SeedSpec
 from noisecalc.physics import LangevinParams, kinetic_models
 from noisecalc.sde import EvaluationRule, Interpretation, SdeModel
+from noisecalc import solvers
 from noisecalc.solvers import (STOP_ON_VIOLATION, Event, EventKind, Reflect, SolverScheme,
                                _effective, _Raw, _run_engine)
 
@@ -298,6 +299,29 @@ def _assert_same_raw(got, want):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_engine_equals_reference_loop_bitwise(case):
     _assert_same_raw(_run(_run_engine, case), _run(_reference_engine, case))
+
+
+@pytest.mark.parametrize("budget, floor", [(37 * 3 * BLOCK, 1), (0, 37)],
+                         ids=["budget-binds", "floor-binds"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_equals_reference_loop_in_narrow_chunks(monkeypatch, case, budget, floor):
+    """The engine in chunks of 37 steps (with a budget of 37 steps of three
+    blocks, the chunks widen as blocks stop) against the reference in
+    512-step chunks: the chunking moves no bit."""
+    monkeypatch.setattr(solvers, "_NOISE_BUDGET", budget)
+    monkeypatch.setattr(solvers, "_MIN_CHUNK", floor)
+    widths = []
+    real = PathNoise.draw
+
+    def spy(self, ids, width):
+        widths.append(width)
+        return real(self, ids, width)
+
+    with monkeypatch.context() as m:
+        m.setattr(PathNoise, "draw", spy)
+        got = _run(_run_engine, case)
+    assert not widths or widths[0] == 37
+    _assert_same_raw(got, _run(_reference_engine, case))
 
 
 def test_reference_cases_reach_every_branch():

@@ -24,6 +24,8 @@ from noisecalc.solvers import (
     scheme_for,
     simulate_ensemble,
     simulate_path,
+    _MAX_PATHS,
+    _MAX_STEPS,
     _ou_coefficients,
     _run_engine,
 )
@@ -419,6 +421,18 @@ def test_mcconfig_rejects_horizon_off_the_step_grid():
     with pytest.raises(ValueError, match="whole number"):
         McConfig(n_paths=1, dt=0.3, horizon=1.0, seed=SeedSpec(1))
     assert McConfig(n_paths=1, dt=1e-3, horizon=0.05, seed=SeedSpec(1)).n_steps == 50
+
+
+def test_mcconfig_bounds_the_run_size_before_allocating():
+    # only the fields are checked: a run at the bounds is built, not run
+    assert McConfig(n_paths=_MAX_PATHS, dt=1.0, horizon=float(_MAX_STEPS),
+                    seed=SeedSpec(1)).n_steps == _MAX_STEPS
+    with pytest.raises(ValueError, match=f"n_paths must be at most {_MAX_PATHS}"):
+        McConfig(n_paths=_MAX_PATHS + 1, dt=1.0, horizon=1.0, seed=SeedSpec(1))
+    with pytest.raises(ValueError, match=f"at most {_MAX_STEPS} are allowed"):
+        McConfig(n_paths=1, dt=1.0, horizon=float(_MAX_STEPS + 1), seed=SeedSpec(1))
+    # the largest run of the acceptance criteria is accepted
+    assert McConfig(n_paths=10_000, dt=1e-4, horizon=20.0, seed=SeedSpec(1)).n_steps == 200_000
 
 
 def test_scheme_for_mapping():
