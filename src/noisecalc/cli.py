@@ -37,6 +37,7 @@ import numpy as np
 
 from . import expr as xp
 from .fokker_planck import (
+    _MAX_CELLS,
     FpeProblem,
     GridDensity,
     evolve_fpe,  # noqa: F401  unused here; perfbench's tracer patches cli.evolve_fpe by name
@@ -70,6 +71,11 @@ _CSV_BLOCK = 4096
 # the path it is refined from and its block-sized bridge buffers a run at
 # the cap allocates at most about 133 MiB at once.
 _MAX_INTEGRATE_STEPS = 2**22
+# Most cells of a ``stationary`` grid and most points of ``convert.xs``.
+# Both commands hold a few arrays of that length, so their work and memory
+# are linear in it; ``fpe`` takes at most ``fokker_planck._MAX_CELLS``.
+_MAX_STATIONARY_CELLS = 2**20
+_MAX_CONVERT_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -145,14 +151,16 @@ def _check_in_domain(interval: tuple[float, float], name: str, model: SdeModel) 
         raise ConfigError(f"{name} {list(interval)} leaves the model's domain [{lo}, {hi}]")
 
 
-def _grid(block: dict, where: str, model: SdeModel) -> tuple[tuple[float, float], int]:
+def _grid(block: dict, where: str, model: SdeModel,
+          max_cells: int) -> tuple[tuple[float, float], int]:
     """The ``interval`` and ``n_cells`` of a finite-volume grid block; the
-    interval must lie in the model's closed domain."""
+    interval must lie in the model's closed domain, and ``n_cells`` in
+    ``[2, max_cells]``."""
     interval = _interval(block.get("interval", [-3.0, 3.0]), f"{where}.interval")
     _check_in_domain(interval, f"{where}.interval", model)
     n_cells = _num(block.get("n_cells", 256), f"{where}.n_cells", int)
-    if n_cells < 2:
-        raise ConfigError(f"{where}.n_cells must be >= 2")
+    if not 2 <= n_cells <= max_cells:
+        raise ConfigError(f"{where}.n_cells must be in [2, {max_cells}], got {n_cells}")
     return interval, n_cells
 
 
@@ -404,8 +412,9 @@ def _cmd_convert(cfg: dict, args) -> str:
     if not (isinstance(xs, list) and len(xs) == 3):
         raise ConfigError(f"convert.xs must be [lo, hi, n], got {xs!r}")
     (lo, hi), n = _interval(xs[:2], "convert.xs[0:2]"), _num(xs[2], "convert.xs[2]", int)
-    if n < 1:
-        raise ConfigError("convert.xs must be [lo, hi, n] with lo < hi and n >= 1")
+    if not 1 <= n <= _MAX_CONVERT_POINTS:
+        raise ConfigError("convert.xs must be [lo, hi, n] with lo < hi and "
+                          f"1 <= n <= {_MAX_CONVERT_POINTS}, got n = {n}")
     _check_in_domain((lo, hi), "convert.xs[0:2]", model)
     xs = np.linspace(lo, hi, n)
     out = _out_dir(cfg, args)
@@ -456,7 +465,8 @@ def _cmd_simulate(cfg: dict, args) -> str:
 
 def _cmd_stationary(cfg: dict, args) -> str:
     model = _build_model(cfg, args.command)
-    interval, n_cells = _grid(_block(cfg, "stationary"), "stationary", model)
+    interval, n_cells = _grid(_block(cfg, "stationary"), "stationary", model,
+                              _MAX_STATIONARY_CELLS)
     out = _out_dir(cfg, args)
     hk = _hk_form(model)
     dens = stationary_density(hk.f, hk.g, interval, n_cells)
@@ -467,7 +477,7 @@ def _cmd_stationary(cfg: dict, args) -> str:
 def _cmd_fpe(cfg: dict, args) -> str:
     model = _build_model(cfg, args.command)
     block = _block(cfg, "fpe")
-    (a, b), n_cells = _grid(block, "fpe", model)
+    (a, b), n_cells = _grid(block, "fpe", model, _MAX_CELLS)
     horizon = _num(block.get("horizon", 10.0), "fpe.horizon")
     snap = _num(block.get("snapshot_every", 0.1), "fpe.snapshot_every")
     init = _block(cfg, "fpe.initial")

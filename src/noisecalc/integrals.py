@@ -84,8 +84,11 @@ def stochastic_sum(
     """Sum of ``phi(eval value) * (integrator increment)`` under ``rule``."""
     _check_same_grid(eval_path, integrator)
     pts, incs = _rule_factors(eval_path.values, integrator.values, rule)
-    # the increments are a fresh array: the products overwrite them
-    return float(np.sum(np.multiply(_apply_scalar(phi, pts), incs, out=incs)))
+    vals = _apply_scalar(phi, pts)
+    # the increments are a fresh array: the products overwrite them.  A
+    # non-finite sum is the caller's diverged level, not a warning.
+    with np.errstate(all="ignore"):
+        return float(np.sum(np.multiply(vals, incs, out=incs)))
 
 
 def realized_variation(path: SamplePath) -> float:
@@ -393,9 +396,11 @@ def backward_regularized(upsilon, w: SamplePath, eps: float) -> float:
     else:
         raise TypeError("upsilon must be a StepProcess or SamplePath")
 
-    nodes = np.concatenate([t, t + eps, extra, [t0, t1]])
-    nodes = np.unique(nodes)
-    nodes = nodes[(nodes >= t0) & (nodes <= t1)]
+    nodes = np.sort(np.concatenate([t, t + eps, extra, [t0, t1]]))
+    first = np.empty(nodes.size, dtype=bool)  # each value once: its first copy
+    first[:1] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+    nodes = nodes[first & (nodes >= t0) & (nodes <= t1)]
 
     # np.interp extends constantly on both sides; only the left matters here.
     w_now = np.interp(nodes, t, w.values)

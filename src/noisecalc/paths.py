@@ -104,6 +104,10 @@ class PathNoise:
     of block ``p // BLOCK``, whose generator is
     ``SeedSpec(seed.master, p // BLOCK, seed.key + (tag,)).generator()``.
     Every block covering the run is opened here, once.
+
+    :meth:`columns` and :meth:`draw` take the live paths as ascending ids
+    (the engine starts from ``arange(n_paths)`` and only drops paths), so
+    the ids of one block are adjacent and its blocks ascend.
     """
 
     stride = BLOCK  # between a path's draws at consecutive steps of a call
@@ -118,15 +122,26 @@ class PathNoise:
             for b in range(first, first + int(self._block[-1]) + 1)
         ]
 
+    def _live_blocks(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks holding the ascending ``ids``, ascending and each once,
+        and the position in that list of each id's block.  A block's ids are
+        one run of equal block numbers, so a block starts where its number
+        differs from the previous id's."""
+        block = self._block[ids]
+        starts = np.empty(block.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(block[1:], block[:-1], out=starts[1:])
+        return block[starts], np.cumsum(starts) - 1
+
     def columns(self, ids: np.ndarray) -> int:
-        """Normals a step of :meth:`draw` takes for the paths ``ids``: a
-        tile row of each block holding one of them."""
-        return np.unique(self._block[ids]).size * BLOCK
+        """Normals a step of :meth:`draw` takes for the ascending paths
+        ``ids``: a tile row of each block holding one of them."""
+        return self._live_blocks(ids)[0].size * BLOCK
 
     def draw(self, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``width`` steps of noise of the paths ``ids``, as
-        ``(tiles, at)``: path ``ids[j]``'s draw at step ``s`` of the call is
-        ``tiles[at[j] + s * stride]``.
+        """The next ``width`` steps of noise of the ascending paths ``ids``,
+        as ``(tiles, at)``: path ``ids[j]``'s draw at step ``s`` of the call
+        is ``tiles[at[j] + s * stride]``.
 
         Each call advances every block holding one of ``ids`` by ``width``
         steps, once, however many of its paths are asked for.  A block left
@@ -134,7 +149,7 @@ class PathNoise:
         and every other path of its block have stopped.  The tiles are drawn
         in place and handed out uncopied.
         """
-        blocks, where = np.unique(self._block[ids], return_inverse=True)
+        blocks, where = self._live_blocks(ids)
         tiles = np.empty((blocks.size, width, BLOCK))
         for j, b in enumerate(blocks):
             self._gens[b].standard_normal(out=tiles[j])

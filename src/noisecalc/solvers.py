@@ -368,16 +368,15 @@ def _run_engine(
     raw = _Raw(n_paths, x0, n_steps)
     events = raw.events = [[] for _ in range(n_paths)] if record == "path" else None
 
-    rec_lookup: dict[int, int] = {}
     if record == "path":
-        rec_steps = list(range(0, n_steps + 1, record_stride))
+        # row r holds step r * record_stride, and the last row the final step
+        rec_steps = np.arange(0, n_steps + 1, record_stride, dtype=np.int64)
         if rec_steps[-1] != n_steps:
-            rec_steps.append(n_steps)
-        raw.recorded_steps = np.asarray(rec_steps, dtype=np.int64)
+            rec_steps = np.append(rec_steps, n_steps)
+        raw.recorded_steps = rec_steps
         # NaN marks the rows after every path's final step, which no step writes
-        raw.recorded = np.full((len(rec_steps), n_paths), np.nan)
+        raw.recorded = np.full((rec_steps.size, n_paths), np.nan)
         raw.recorded[0] = x0
-        rec_lookup = {s: r for r, s in enumerate(rec_steps) if s > 0}
 
     x = np.full(n_paths, x0)
     ids = np.arange(n_paths)
@@ -479,9 +478,9 @@ def _run_engine(
                     keep = _end(new, k + 1, xa[new], None)
                     ids, xa, mv, at = (a[keep] for a in (ids, xa, mv, at))
 
-            if raw.recorded is not None and (k + 1) in rec_lookup:
+            if raw.recorded is not None and ((k + 1) % record_stride == 0 or k + 1 == n_steps):
                 x[ids] = xa
-                raw.recorded[rec_lookup[k + 1]] = x
+                raw.recorded[-1 if k + 1 == n_steps else (k + 1) // record_stride] = x
             if ids.size == 0:
                 break
 

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from noisecalc import solvers
-from noisecalc.paths import ORACLE, PathNoise, SeedSpec
+from noisecalc.paths import ORACLE, PathNoise, SeedSpec, TimeGrid
 from noisecalc.physics import LangevinParams, kinetic_models
 from noisecalc.sde import Interpretation, SdeModel
 from noisecalc.solvers import (McConfig, Reflect, SolverScheme, _chunk_steps, _energy,
-                               _oracle_velocities, _ou_coefficients, simulate_ensemble)
+                               _oracle_velocities, _ou_coefficients, simulate_ensemble,
+                               simulate_path)
 
 
 def test_chunk_steps_follow_the_budget_between_floor_and_ceiling():
@@ -94,3 +95,21 @@ def test_a_wide_reflected_run_allocates_at_most_32_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_a_recorded_path_allocates_at_most_1_25_mib():
+    # each recorded step costs its 8 B row and no per-step index beside it
+    model = kinetic_models(LangevinParams(v0=1.0)).stratonovich
+
+    def run(grid):
+        simulate_path(model, SolverScheme.DIRECT_MIDPOINT_HEUN, grid, SeedSpec(7), Reflect(0.0))
+
+    run(TimeGrid.uniform(0.0, 0.1, 100))  # first-call costs are not per step
+    grid = TimeGrid.uniform(0.0, 20.0, 20_000)
+    tracemalloc.start()
+    try:
+        run(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisecalc
 from noisecalc.cli import main
 
 
@@ -518,6 +522,17 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
                  id="simulate-10^11-paths"),
     pytest.param(["integrate"], {"integrate": {"base_steps": 8, "levels": 1000000}},
                  id="integrate-a-million-levels"),
+    # counts past the caps exit 2 before any array of their length is built
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 2**40, "horizon": 0.1}},
+                 id="fpe-2^40-cells"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"n_cells": 2**40}},
+                 id="stationary-2^40-cells"),
+    pytest.param(["stationary"], {"model": _OU, "stationary": {"n_cells": 2**20 + 1}},
+                 id="stationary-one-cell-above-the-cap"),
+    pytest.param(["convert"], {"model": _OU, "convert": {"xs": [-1.0, 1.0, 2**40]}},
+                 id="convert-2^40-points"),
+    pytest.param(["convert"], {"model": _OU, "convert": {"xs": [-1.0, 1.0, 2**20 + 1]}},
+                 id="convert-one-point-above-the-cap"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
@@ -575,6 +590,43 @@ def test_diverging_paths_exit_3_with_one_message(tmp_path, capsys, g, tag, schem
     assert main(["simulate", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numeric error:")
+
+
+def test_integrate_of_a_pole_exits_3_with_one_message(tmp_path, capsys):
+    # phi = x/0 is +-inf, so every sum is NaN: no numpy warning reaches stderr
+    cfg = _write_config(tmp_path, {"integrate": {"phi": "x/0", "base_steps": 8, "levels": 1},
+                                   "outputs": {"dir": str(tmp_path / "out")}})
+    assert main(["integrate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error:")
+
+
+_NUMPY_MA_PROBE = """
+import json, sys
+from noisecalc.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_monte_carlo_commands_do_not_import_numpy_ma(tmp_path):
+    probe = [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"]
+    if subprocess.run(probe, capture_output=True, text=True, check=True).stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    sim = _write_config(tmp_path, {"model": _OU, "run": {
+        "n_paths": 200, "dt": 0.01, "horizon": 0.2, "boundary": "stop"}}, "simulate.json")
+    exp = _write_config(tmp_path, {"experiment": {
+        "n_seeds": 200, "dt": 1e-2, "horizon": 0.1,
+        "hitting": {"n_paths": 100, "dt": 1e-2, "horizon": 0.2}}}, "experiment.json")
+    runs = [["simulate", "--config", sim, "--out", str(tmp_path / "sim")],
+            ["experiment", "langevin1", "--config", exp, "--out", str(tmp_path / "exp")]]
+    src = str(Path(noisecalc.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -15,7 +15,7 @@ import noisecalc.cli
 import noisecalc.physics
 from noisecalc.cli import main
 from conftest import path_noise
-from noisecalc.paths import BLOCK, SeedSpec, TimeGrid, generate_brownian
+from noisecalc.paths import BLOCK, PathNoise, SeedSpec, TimeGrid, generate_brownian
 from noisecalc.physics import LangevinParams, langevin_velocity_pair
 from noisecalc.sde import Interpretation, SdeModel
 from noisecalc.solvers import (McConfig, SolverScheme, _oracle_velocities, _ou_coefficients,
@@ -110,6 +110,24 @@ def test_ensemble_opens_one_generator_per_block(opened):
     cfg = McConfig(n_paths=n, dt=1e-3, horizon=2e-3, seed=SeedSpec(75, 30))
     simulate_ensemble(_walk(), SolverScheme.DIRECT_LEFT, cfg, record="terminal")
     assert len(opened) <= math.ceil(n / BLOCK) + 1
+
+
+@pytest.mark.parametrize("stream", [0, 37, 64, 100])
+def test_live_blocks_are_the_runs_of_ascending_ids(stream):
+    n_paths = 300
+    noise = PathNoise(SeedSpec(76, stream), n_paths)
+    blocks = (stream + np.arange(n_paths)) // BLOCK - stream // BLOCK
+    edge = int(np.flatnonzero(np.diff(blocks))[0])  # the last id of the first block
+    rng = np.random.default_rng(76)
+    cases = [np.arange(n_paths), np.array([0]), np.array([n_paths - 1]),
+             np.flatnonzero(blocks == 1),                     # one full block
+             np.array([edge, edge + 1]), np.array([0, edge, edge + 1, n_paths - 1])]
+    cases += [np.flatnonzero(rng.random(n_paths) < p) for p in (0.01, 0.1, 0.5) * 20]
+    for ids in cases:
+        want, want_where = np.unique(blocks[ids], return_inverse=True)
+        got, where = noise._live_blocks(ids)
+        assert np.array_equal(got, want) and np.array_equal(where, want_where)
+        assert noise.columns(ids) == want.size * BLOCK
 
 
 def _opened_per_call(tmp_path, monkeypatch, opened, module, names):
