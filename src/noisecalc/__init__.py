@@ -62,4 +62,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

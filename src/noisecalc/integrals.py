@@ -376,12 +376,12 @@ def backward_regularized(upsilon, w: SamplePath, eps: float) -> float:
     exactly.  ``upsilon`` may be a :class:`StepProcess` or a
     :class:`~noisecalc.paths.SamplePath` (interpolated linearly).
     """
-    if eps <= 0:
+    if not eps > 0:  # a NaN is not positive
         raise ValueError(f"eps must be positive, got {eps}")
     t = w.grid.points
     t0, t1 = float(t[0]), float(t[-1])
     horizon = t1 - t0
-    if eps > 0.1 * horizon:
+    if not eps <= 0.1 * horizon:
         raise ValueError(
             f"eps={eps} exceeds 10% of the horizon {horizon}; the constant "
             "left extension would dominate the value"

@@ -56,9 +56,11 @@ class SeedSpec:
     """A master seed, a stream index and a spawn key, each word 32-bit.
 
     The triple ``(master, stream, key)`` fully determines every draw of any
-    operation consuming it.  Generator state comes from
+    operation consuming it.  Generator state is that of
     ``numpy.random.SeedSequence([master, stream], spawn_key=key)``; with
     the default empty key this is ``SeedSequence([master, stream])``.
+    :meth:`generator` hands SeedSequence the entropy array that this call
+    assembles itself (see there), so no word is coerced one at a time.
     ``stream`` is a path number (:meth:`shifted`); every other distinction
     is a key word (:meth:`child`), so no two purposes collide, whatever
     the number of paths.  Each word is below ``2**32``: SeedSequence would
@@ -93,8 +95,19 @@ class SeedSpec:
         return SeedSpec(self.master, self.stream, self.key + key)
 
     def generator(self) -> np.random.Generator:
+        """The generator of ``SeedSequence([master, stream], spawn_key=key)``.
+
+        SeedSequence pads the run entropy ``[master, stream]`` with zeros
+        to its pool size of 4 words when a spawn key is given, then appends
+        the key; that array is given here as one ``uint32`` array, which it
+        takes as it is.  The mapping from words to state is frozen by
+        numpy's stream-compatibility policy (NEP 19), so this is the spawn
+        key's stream, bit for bit, without its per-word coercion.
+        """
+        words = [self.master, self.stream, 0, 0, *self.key] if self.key else \
+            [self.master, self.stream]
         return np.random.default_rng(
-            np.random.SeedSequence([self.master, self.stream], spawn_key=self.key))
+            np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 class PathNoise:

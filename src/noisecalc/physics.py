@@ -95,7 +95,7 @@ class RelativisticParams:
     p0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.M <= 0:
+        if not self.M > 0:
             raise ValueError("rest mass must be positive")
         if self.alpha_hat is None:
             object.__setattr__(self, "alpha_hat", lambda e: np.ones_like(np.asarray(e, dtype=float)))

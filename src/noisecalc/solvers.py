@@ -47,7 +47,14 @@ of a loop that gathers, projects and writes back every live path each step:
 a chunk's live paths are stepped as one full-width array, compacted only
 after a path stops; without a reflecting boundary an unbounded domain is
 not projected at all (nothing can be clamped or stopped); and event lists
-are built only when paths are recorded.
+are built only when paths are recorded.  A seeded run that starts at a
+rest point of its scheme is not stepped: when ``f`` and ``g`` vanish
+exactly at ``x0`` at every time a step evaluates them (:func:`_at_rest`)
+and the boundary projection gives ``x0`` back bit for bit, each step would
+add a zero to ``x0``, so the loop would leave the initial result as it is,
+and every recorded row is ``x0``.  Its block streams are opened all the
+same, and none is drawn from.  A ``-0.0`` start (``-0.0 + 0.0`` is
+``+0.0``) and a given increment matrix (``0 * inf`` is NaN) are stepped.
 
 The exact OU oracles step the velocities of ``delta`` Langevin particles
 by exact Gaussian transitions, through one vectorized stepper.  Component
@@ -288,6 +295,49 @@ def _fold_into(v: np.ndarray, lo: float, hi: float):
     return np.where((q % 2) == 0, lo + r, hi - r), hits, folds[hits]
 
 
+def _at_rest(f, g, rule: EvaluationRule, x0: float, times: np.ndarray,
+             dts: np.ndarray) -> bool:
+    """Whether every step from ``x0`` adds a zero to it: ``f`` and ``g``
+    vanish exactly at every point and time a step evaluates them (a NaN
+    is not a zero).  ``g`` at ``t0`` is tested first, so that a run that is
+    not at rest pays one call.  ``x0 = -0.0`` is excluded, since ``-0.0 +
+    0.0`` is ``+0.0``; so is a midpoint that overflows, whose projection
+    could differ from ``x0``."""
+    if x0 == 0 and math.copysign(1.0, x0) < 0:
+        return False
+    x = np.full(1, x0)
+    mid = 0.5 * (x + x)
+    if rule is EvaluationRule.MIDPOINT and mid[0] != x0:
+        return False
+
+    def zero(fn, at, t):
+        return not np.any(np.asarray(fn(at, t), dtype=float) != 0)
+
+    if not zero(g, x, times[0]):
+        return False
+    for k in range(dts.size):
+        t_now = times[k]
+        if not zero(f, x, t_now) or k and not zero(g, x, t_now):
+            return False
+        if rule is EvaluationRule.MIDPOINT and not zero(g, mid, t_now + 0.5 * dts[k]):
+            return False
+        if rule is EvaluationRule.RIGHT and not zero(g, x, times[k + 1]):
+            return False
+    return True
+
+
+def _keeps(x0: float, boundary: Boundary, lo: float, hi: float) -> bool:
+    """Whether the engine's projection gives ``x0`` back bit for bit: a
+    start inside the domain can still be moved by the clamp's sign of zero
+    or by a fold into a finite reflection interval."""
+    x = v = np.full(1, x0)
+    if isinstance(boundary, Reflect):
+        v, hits, _ = _fold_into(x, boundary.lo, boundary.hi)
+        if hits.size:
+            return False
+    return v.clip(lo, hi).tobytes() == x.tobytes()
+
+
 class _Raw:
     """Plain container for engine output, one slot per path."""
 
@@ -361,7 +411,8 @@ def _run_engine(
 
     n_steps = times.size - 1
     dts = np.diff(times)
-    if isinstance(noise, SeedSpec):
+    seeded = isinstance(noise, SeedSpec)
+    if seeded:
         noise, scale = PathNoise(noise, n_paths), np.sqrt(dts)
     else:  # 1.0 * dw is dw bit for bit
         noise, scale = _GivenNoise(noise, n_paths, n_steps), np.ones(n_steps)
@@ -389,6 +440,12 @@ def _run_engine(
         raw.hit_time[:] = times[0]
         raw.final_step[:] = 0
         ids = ids[:0]
+    elif seeded and _at_rest(f, g, rule, x0, times, dts) and _keeps(x0, boundary, lo, hi):
+        # each step would add a zero to x0 (module docstring); a given
+        # increment is excluded, since 0 * inf is NaN
+        ids = ids[:0]
+        if raw.recorded is not None:
+            raw.recorded[:] = x0
 
     def _log(kind, rows, t, values):
         """One event of ``kind`` at ``t`` for each live row in ``rows``."""
@@ -594,7 +651,7 @@ def hitting_time(
     fatal domain violation whose value crossed the band also counts as a
     hit at that time.
     """
-    if band <= 0:
+    if not band > 0:
         raise ValueError("band must be positive")
     times = cfg.times()
     raw = _run_engine(
@@ -627,7 +684,7 @@ def _ou_coefficients(m: float, gamma: float, sigma: float, h):
 
 
 def _check_langevin(m, gamma, sigma):
-    if min(m, gamma, sigma) <= 0:
+    if not (m > 0 and gamma > 0 and sigma > 0):
         raise ValueError("m, gamma, sigma must all be positive")
 
 
@@ -737,7 +794,7 @@ def kinetic_oracle_hitting(
     seeded ``cfg.seed.shifted(i)``, step for step.  Paths freeze at their
     first entry into the band.
     """
-    if band <= 0:
+    if not band > 0:
         raise ValueError("band must be positive")
     # every spacing is dt itself: np.diff of the grid would round differently
     hit_step = _oracle_velocities(delta, m, gamma, sigma, v0s, np.full(cfg.n_steps, cfg.dt),

@@ -30,6 +30,30 @@ def test_grid_validation():
     assert g.diameter == pytest.approx(0.25)
 
 
+def _spawn_key_seeds():
+    """At least 200 seeds: the empty key and keys of 1-5 words, each with
+    the edge words 0 and 2**32 - 1 among random ones."""
+    rng = np.random.default_rng(2701)
+    edge = [0, 2**32 - 1]
+    seeds = [SeedSpec(m, s) for m in edge for s in edge]
+    seeds += [SeedSpec(m, s, tuple(edge[i % 2] for i in range(n)))
+              for m in edge for s in edge for n in range(1, 6)]
+    for n in range(6):
+        for _ in range(30):
+            m, s, *key = (int(w) for w in rng.integers(0, 2**32, size=2 + n))
+            seeds.append(SeedSpec(m, s, tuple(key)))
+    return seeds
+
+
+def test_generator_is_the_spawn_key_stream():
+    seeds = _spawn_key_seeds()
+    assert len(seeds) >= 200 and {len(s.key) for s in seeds} == set(range(6))
+    for seed in seeds:
+        want = np.random.default_rng(
+            np.random.SeedSequence([seed.master, seed.stream], spawn_key=seed.key))
+        assert seed.generator().bit_generator.state == want.bit_generator.state, seed
+
+
 def test_nonuniform_grid_diameter():
     g = TimeGrid([0.0, 0.1, 0.5, 0.6])
     assert g.diameter == pytest.approx(0.4)

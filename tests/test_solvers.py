@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ks_statistic, path_noise
 from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, generate_brownian
-from noisecalc.integrals import strong_convergence_order
+from noisecalc.integrals import StepProcess, backward_regularized, strong_convergence_order
 from noisecalc.sde import Interpretation, SdeModel, to_ito
 from noisecalc.solvers import (
     EventKind,
@@ -29,7 +29,7 @@ from noisecalc.solvers import (
     _ou_coefficients,
     _run_engine,
 )
-from noisecalc.physics import LangevinParams, kinetic_models
+from noisecalc.physics import LangevinParams, RelativisticParams, kinetic_models
 
 
 def _smooth_model(tag=Interpretation.ITO, x0=0.3):
@@ -433,6 +433,29 @@ def test_mcconfig_bounds_the_run_size_before_allocating():
         McConfig(n_paths=1, dt=1.0, horizon=float(_MAX_STEPS + 1), seed=SeedSpec(1))
     # the largest run of the acceptance criteria is accepted
     assert McConfig(n_paths=10_000, dt=1e-4, horizon=20.0, seed=SeedSpec(1)).n_steps == 200_000
+
+
+_NAN = math.nan
+_NAN_CFG = McConfig(n_paths=4, dt=0.1, horizon=1.0, seed=SeedSpec(1))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: hitting_time(_smooth_model(), SolverScheme.DIRECT_LEFT, 0.0, _NAN,
+                                      _NAN_CFG), id="hitting_time-band"),
+    pytest.param(lambda: kinetic_oracle_hitting(1, 1.0, 1.0, 1.0, [1.0], 0.0, _NAN, _NAN_CFG),
+                 id="kinetic_oracle_hitting-band"),
+    pytest.param(lambda: backward_regularized(
+        StepProcess([0.0, 1.0], [1.0]),
+        generate_brownian(TimeGrid.uniform(0.0, 1.0, 64), SeedSpec(14)), _NAN),
+        id="backward_regularized-eps"),
+    pytest.param(lambda: LangevinParams(m=_NAN), id="LangevinParams-m"),
+    pytest.param(lambda: LangevinParams(gamma=_NAN), id="LangevinParams-gamma"),
+    pytest.param(lambda: RelativisticParams(M=_NAN), id="RelativisticParams-M"),
+])
+def test_a_nan_is_not_positive(call):
+    # each check reads `not x > 0`, which a NaN fails
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_scheme_for_mapping():

@@ -9,6 +9,11 @@ script lives in.  Each pair runs ``python3 perfbench/run.py --workload W
 --seed S --seconds N --trace 0`` once in each tree, the parent first in
 even pairs and the change first in odd ones, so that a drift of the
 machine's speed hits both sides alike.  Seeds cycle through ``--seeds``.
+Before every run the tree's ``src/**/__pycache__`` directories are deleted,
+and the run has ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their
+sources as a fresh checkout does: a working checkout keeps the bytecode of
+earlier imports, which an exported parent lacks.  Each pair row records
+this as ``src_caches_cleared``.
 
 After each pair the two trees' ``perfbench/_out/W/plain`` directories are
 compared file by file, and the pair records the relative paths of the files
@@ -28,6 +33,7 @@ import filecmp
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,11 +42,18 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parent.parent
 
 
+def _clear_caches(tree: Path) -> None:
+    """Delete the bytecode caches under ``tree/src``."""
+    for cache in list((tree / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     last = json.loads(done.stdout.strip().splitlines()[-1])
     row = {name: m["value"] for name, m in last["metrics"].items()}
     row.update(correct=last["correct"], attempted=last["attempted"], failed=last["failed"])
@@ -99,10 +112,11 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        row = {"pair": i, "seed": seed, "first": order[0]}
+        row = {"pair": i, "seed": seed, "first": order[0], "src_caches_cleared": True}
         for side in order:
-            row[side] = _run(parent if side == "parent" else CHANGE,
-                             args.workload, seed, args.seconds)
+            tree = parent if side == "parent" else CHANGE
+            _clear_caches(tree)
+            row[side] = _run(tree, args.workload, seed, args.seconds)
         plain = Path("perfbench", "_out", args.workload, "plain")
         row["outputs_differing"] = _differing_outputs(parent / plain, CHANGE / plain)
         row["outputs_identical"] = not row["outputs_differing"]
