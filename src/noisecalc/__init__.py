@@ -35,7 +35,6 @@ from .solvers import (
     exact_kinetic_terminal,
     kinetic_oracle_hitting,
     besq_time_change,
-    besq_dimension,
     scheme_for,
 )
 from .fokker_planck import (
@@ -62,4 +61,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -68,7 +68,7 @@ __all__ = ["main", "ConfigError", "NumericError"]
 _CSV_BLOCK = 4096
 # Most steps of the finest path ``integrate`` refines to (base_steps x
 # 2^levels).  A path of this size holds 64 MiB (times and values); with
-# the path it is refined from and its block-sized bridge buffers a run at
+# the path it is refined from and its block-sized bridge temporaries a run at
 # the cap allocates at most about 133 MiB at once.
 _MAX_INTEGRATE_STEPS = 2**22
 # Most cells of a ``stationary`` grid and most points of ``convert.xs``.

@@ -26,7 +26,11 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 from .paths import (REFINE, SamplePath, SeedSpec, TimeGrid, VectorPath, _check_same_grid,
                     generate_brownian, refine_bridge)
 from .sde import EvaluationRule, SdeModel
-from .solvers import McConfig, SolverScheme, _run_engine
+from .solvers import _MAX_STEPS, McConfig, SolverScheme, _run_engine
+
+# Most increments of all paths on the reference grid of
+# strong_convergence_order (128 MiB).
+_MAX_REF_INCREMENTS = 2**24
 
 __all__ = [
     "EvaluationRule",
@@ -230,13 +234,25 @@ def strong_convergence_order(
     is one coarse Brownian path seeded ``cfg.seed.shifted(p)`` and its
     :func:`_ladder` under the same seed.  The reference is the same scheme
     on a grid 16 times finer than the finest level.  No boundary policy
-    applies.
+    applies.  The reference grid has at most ``_MAX_STEPS`` steps, and its
+    increments of all paths at most ``_MAX_REF_INCREMENTS`` (128 MiB),
+    checked before the first path is drawn.
     """
     if levels < 3:
         raise ValueError("need at least 3 dt levels")
+    # levels - 1 halvings, then 16 = 2**4 to the reference; the bit lengths
+    # bound its steps before they are formed
+    shift = levels + 3
+    if (cfg.n_steps.bit_length() + shift > _MAX_STEPS.bit_length()
+            or cfg.n_steps << shift > _MAX_STEPS):
+        raise ValueError(f"the reference grid of {cfg.n_steps} x 2^{shift} steps "
+                         f"exceeds {_MAX_STEPS}")
+    n_ref = cfg.n_steps << shift
+    if cfg.n_paths * n_ref > _MAX_REF_INCREMENTS:
+        raise ValueError(f"{cfg.n_paths} paths of {n_ref} reference steps exceed "
+                         f"{_MAX_REF_INCREMENTS} increments")
     T = cfg.horizon
     n_levels = [cfg.n_steps << i for i in range(levels)]
-    n_ref = n_levels[-1] * 16
     ladders: dict[int, list[np.ndarray]] = {n: [] for n in n_levels + [n_ref]}
     grid0 = TimeGrid.uniform(0.0, T, n_levels[0])
     for p in range(cfg.n_paths):

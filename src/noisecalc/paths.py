@@ -344,16 +344,9 @@ def _bridge_points(t: np.ndarray, w: np.ndarray, factor: int,
     """The refined points and values.  Sub-level ``k`` writes straight into
     the strided views ``new_t[k::factor]`` and ``new_w[k::factor]`` and
     reads sub-level ``k - 1`` from the views before them, a block of at
-    most ``_BRIDGE_BLOCK`` intervals at a time; its temporaries are
-    block-sized ``out=`` buffers allocated once.  Each block draws its
-    normals in turn, which takes the same numbers from the generator as one
-    draw for the whole sub-level.  The ufuncs run in the order of the plain
-    expressions
-    ``sub = (t_right - t) / factor``,
-    ``tau_k = t + k * sub``,
-    ``mean = x + (w_right - x) * (tau_k - tau) / (t_right - tau)``,
-    ``var = (tau_k - tau) * (t_right - tau_k) / (t_right - tau)`` and
-    ``x_k = mean + sqrt(var) * z``, so the result is the same bit for bit.
+    most ``_BRIDGE_BLOCK`` intervals at a time, so its temporaries are
+    block-sized.  Each block draws its normals in turn, which takes the
+    same numbers from the generator as one draw for the whole sub-level.
     """
     n = t.size - 1
     new_t = np.empty(n * factor + 1)
@@ -362,30 +355,16 @@ def _bridge_points(t: np.ndarray, w: np.ndarray, factor: int,
     new_w[::factor] = w
 
     rng = seed.generator()
-    buffers = [np.empty(min(n, _BRIDGE_BLOCK)) for _ in range(4)]
     for k in range(1, factor):
         taus, xs = new_t[k - 1::factor], new_w[k - 1::factor]
         tau_ks, x_ks = new_t[k::factor], new_w[k::factor]
         for lo in range(0, n, _BRIDGE_BLOCK):
             hi = min(lo + _BRIDGE_BLOCK, n)
-            rem, step, tmp, z = (b[:hi - lo] for b in buffers)
             t_left, t_right, w_right = t[lo:hi], t[lo + 1:hi + 1], w[lo + 1:hi + 1]
-            tau, x, tau_k, x_k = taus[lo:hi], xs[lo:hi], tau_ks[lo:hi], x_ks[lo:hi]
-            np.subtract(t_right, t_left, out=tmp)
-            np.divide(tmp, factor, out=tmp)          # the substep
-            np.multiply(k, tmp, out=tmp)
-            np.add(t_left, tmp, out=tau_k)
-            np.subtract(t_right, tau, out=rem)
-            np.subtract(tau_k, tau, out=step)
-            np.subtract(w_right, x, out=tmp)
-            np.multiply(tmp, step, out=tmp)
-            np.divide(tmp, rem, out=tmp)
-            np.add(x, tmp, out=x_k)                  # the bridge mean
-            np.subtract(t_right, tau_k, out=tmp)
-            np.multiply(step, tmp, out=step)
-            np.divide(step, rem, out=step)           # the bridge variance
-            np.sqrt(step, out=step)
-            rng.standard_normal(out=z)
-            np.multiply(step, z, out=z)
-            np.add(x_k, z, out=x_k)
+            tau, x = taus[lo:hi], xs[lo:hi]
+            sub = (t_right - t_left) / factor
+            tau_ks[lo:hi] = tau_k = t_left + k * sub
+            mean = x + (w_right - x) * (tau_k - tau) / (t_right - tau)
+            var = (tau_k - tau) * (t_right - tau_k) / (t_right - tau)
+            x_ks[lo:hi] = mean + np.sqrt(var) * rng.standard_normal(hi - lo)
     return new_t, new_w

@@ -20,7 +20,9 @@ Domain handling, for both sources: a state or evaluation point outside the
 closed domain by more than 1e-12 is a DomainViolation (stop, or
 flag-and-clamp under boundary ``None``); within tolerance it is clamped to
 the edge, which distinguishes genuine boundary pathologies from rounding.
-Reflection folds the state back into the interval and logs each fold.
+Reflection folds a value that crossed the interval's ends back into it
+and logs each fold; every other value is left as it is, and on a finite
+interval a crossing too far to fold (2^53 lengths or more) becomes NaN.
 A :class:`McConfig` holds paths, step, horizon and seed; the boundary
 policy and the record mode are parameters of the functions that read them,
 checked once, by the engine, for every run: the boundary is ``None``,
@@ -49,12 +51,13 @@ after a path stops; without a reflecting boundary an unbounded domain is
 not projected at all (nothing can be clamped or stopped); and event lists
 are built only when paths are recorded.  A seeded run that starts at a
 rest point of its scheme is not stepped: when ``f`` and ``g`` vanish
-exactly at ``x0`` at every time a step evaluates them (:func:`_at_rest`)
-and the boundary projection gives ``x0`` back bit for bit, each step would
-add a zero to ``x0``, so the loop would leave the initial result as it is,
-and every recorded row is ``x0``.  Its block streams are opened all the
-same, and none is drawn from.  A ``-0.0`` start (``-0.0 + 0.0`` is
-``+0.0``) and a given increment matrix (``0 * inf`` is NaN) are stepped.
+exactly at ``x0`` at every time a step evaluates them (:func:`_at_rest`),
+each step would add a zero to ``x0``, and the projection gives a value in
+the domain and the reflection interval back bit for bit, so the loop would
+leave the initial result as it is, and every recorded row is ``x0``.  Its
+block streams are opened all the same, and none is drawn from.  A ``-0.0``
+start (``-0.0 + 0.0`` is ``+0.0``) and a given increment matrix (``0 *
+inf`` is NaN) are stepped.
 
 The exact OU oracles step the velocities of ``delta`` Langevin particles
 by exact Gaussian transitions, through one vectorized stepper.  Component
@@ -96,7 +99,6 @@ __all__ = [
     "exact_kinetic_terminal",
     "kinetic_oracle_hitting",
     "besq_time_change",
-    "besq_dimension",
 ]
 
 _DOMAIN_TOL = 1e-12
@@ -280,19 +282,30 @@ def _effective(model: SdeModel, scheme: SolverScheme):
 
 def _fold_into(v: np.ndarray, lo: float, hi: float):
     """Reflected positions, and the indices and fold counts of the values
-    outside [lo, hi].  On a half-line, ``v`` itself when none is outside."""
+    that crossed (``v < lo`` or ``v > hi``).  Every other value, NaN
+    included, comes back bit for bit, and ``v`` itself when none crossed.
+    On a finite interval a crossing of 2^53 lengths or more, an infinite
+    value included, leaves no position: it becomes NaN, with no index and
+    no fold."""
     if math.isinf(lo) or math.isinf(hi):
         out = v > hi if math.isinf(lo) else v < lo
         hits = out.nonzero()[0]
         if hits.size:
             v = np.where(out, 2 * (hi if math.isinf(lo) else lo) - v, v)
         return v, hits, 1
-    length = hi - lo
-    q = np.floor((v - lo) / length)
-    r = (v - lo) - q * length
-    folds = np.abs(q).astype(np.int64)
-    hits = folds.nonzero()[0]
-    return np.where((q % 2) == 0, lo + r, hi - r), hits, folds[hits]
+    hits = ((v < lo) | (v > hi)).nonzero()[0]
+    if not hits.size:
+        return v, hits, 1
+    length, c = hi - lo, v[hits]
+    with np.errstate(over="ignore", invalid="ignore"):  # the far crossings
+        q = np.floor((c - lo) / length)
+        r = (c - lo) - q * length
+        folded = np.where((q % 2) == 0, lo + r, hi - r)
+    near = np.abs(q) < 2.0**53
+    v = v.copy()
+    v[hits] = np.where(near, folded, np.nan)
+    keep = near & (q != 0)
+    return v, hits[keep], np.abs(q[keep]).astype(np.int64)
 
 
 def _at_rest(f, g, rule: EvaluationRule, x0: float, times: np.ndarray,
@@ -324,18 +337,6 @@ def _at_rest(f, g, rule: EvaluationRule, x0: float, times: np.ndarray,
         if rule is EvaluationRule.RIGHT and not zero(g, x, times[k + 1]):
             return False
     return True
-
-
-def _keeps(x0: float, boundary: Boundary, lo: float, hi: float) -> bool:
-    """Whether the engine's projection gives ``x0`` back bit for bit: a
-    start inside the domain can still be moved by the clamp's sign of zero
-    or by a fold into a finite reflection interval."""
-    x = v = np.full(1, x0)
-    if isinstance(boundary, Reflect):
-        v, hits, _ = _fold_into(x, boundary.lo, boundary.hi)
-        if hits.size:
-            return False
-    return v.clip(lo, hi).tobytes() == x.tobytes()
 
 
 class _Raw:
@@ -440,7 +441,7 @@ def _run_engine(
         raw.hit_time[:] = times[0]
         raw.final_step[:] = 0
         ids = ids[:0]
-    elif seeded and _at_rest(f, g, rule, x0, times, dts) and _keeps(x0, boundary, lo, hi):
+    elif seeded and _at_rest(f, g, rule, x0, times, dts):
         # each step would add a zero to x0 (module docstring); a given
         # increment is excluded, since 0 * inf is NaN
         ids = ids[:0]
@@ -779,7 +780,12 @@ def exact_kinetic_terminal(
 ) -> np.ndarray:
     """Terminal kinetic-energy sample, one exact transition per particle;
     entry ``i`` is the final value of :func:`exact_kinetic_oracle` on the
-    grid ``[0, horizon]`` seeded ``seed.shifted(i)``."""
+    grid ``[0, horizon]`` seeded ``seed.shifted(i)``.  The horizon must be
+    positive and ``n_paths`` in ``[1, _MAX_PATHS]``, as for a run."""
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 1 <= n_paths <= _MAX_PATHS:
+        raise ValueError(f"n_paths must be in [1, {_MAX_PATHS}], got {n_paths}")
     v = _oracle_velocities(delta, m, gamma, sigma, v0s, [horizon], n_paths, seed)
     return _energy(m, v[:, 1])
 
@@ -809,11 +815,3 @@ def besq_time_change(t: float, m: float, gamma: float, sigma: float) -> float:
     _check_langevin(m, gamma, sigma)
     return sigma**2 / (4 * gamma) * math.expm1(2 * gamma * t / m)
 
-
-def besq_dimension(model_kind: str) -> int:
-    """Squared-Bessel dimension of a kinetic-energy family."""
-    kinds = {"single": 1, "langevin1": 1, "two_particle": 2, "langevin2": 2}
-    try:
-        return kinds[model_kind]
-    except KeyError:
-        raise ValueError(f"unknown model kind {model_kind!r}") from None

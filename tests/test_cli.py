@@ -533,11 +533,104 @@ _OU = {"custom": {"f": "-x", "g": "1", "interpretation": "ito",
                  id="convert-2^40-points"),
     pytest.param(["convert"], {"model": _OU, "convert": {"xs": [-1.0, 1.0, 2**20 + 1]}},
                  id="convert-one-point-above-the-cap"),
+    pytest.param(["simulate"], {}, id="simulate-no-model"),
+    pytest.param(["simulate"], {"model": {"family": "langevin3"}},
+                 id="simulate-unknown-family"),
+    pytest.param(["simulate"], {"model": _OU, "run": {"boundary": "absorb"}},
+                 id="simulate-unknown-boundary-name"),
+    pytest.param(["simulate"], {"model": _OU, "run": {
+        "n_paths": 3, "dt": 0.01, "horizon": 0.1, "scheme": "implicit"}},
+                 id="simulate-unknown-scheme"),
+    pytest.param(["simulate"], {"model": {"custom": {**_OU["custom"],
+                                                     "domain": [None, None, None]}}},
+                 id="simulate-three-item-domain"),
+    pytest.param(["simulate"], {"model": {"custom": {**_OU["custom"], "interpretation": 3}}},
+                 id="simulate-interpretation-number"),
+    pytest.param(["simulate"], {"model": {"custom": {
+        key: value for key, value in _OU["custom"].items() if key != "x0"}}},
+                 id="simulate-no-x0"),
+    pytest.param(["integrate"], {"integrate": {"rules": "left"}},
+                 id="integrate-rules-string"),
+    pytest.param(["integrate"], {"integrate": {"base_steps": 9, "levels": 1}},
+                 id="integrate-odd-base-steps"),
+    pytest.param(["integrate"], {"integrate": {"base_steps": 8, "levels": -1}},
+                 id="integrate-negative-levels"),
+    pytest.param(["convert"], {"model": {"family": "langevin1"}},
+                 id="convert-family-model"),
+    pytest.param(["fpe"], {"model": _OU, "fpe": {"n_cells": 16, "horizon": 0.1,
+                                                 "initial": {"kind": "delta"}}},
+                 id="fpe-unknown-initial-kind"),
 ])
 def test_malformed_config_exits_2_with_one_message(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, {**payload, "outputs": {"dir": str(tmp_path / "out")}})
     assert main([*argv, "--config", cfg]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_json_exits_2_with_one_message(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"model": ', encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and "not valid JSON" in err
+
+
+def _outputs(tmp_path, argv, payload, name):
+    """The bytes of each file one run writes to ``tmp_path / name``."""
+    cfg = _write_config(tmp_path, payload, f"{name}.json")
+    out = tmp_path / name
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_a_whole_number_run_seed_is_the_master(tmp_path):
+    def run(seed, name):
+        return _outputs(tmp_path, ["simulate"], {"model": _OU, "run": {
+            "n_paths": 5, "dt": 0.01, "horizon": 0.1, "seed": seed}}, name)
+
+    assert run(7, "number") == run({"master": 7}, "object") != run(8, "other")
+
+
+def test_langevin2_without_u0_takes_v0(tmp_path):
+    def run(params, name):
+        return _outputs(tmp_path, ["simulate"], {
+            "model": {"family": "langevin2", "params": params},
+            "run": {"n_paths": 5, "dt": 0.01, "horizon": 0.1}}, name)
+
+    assert run({"v0": 0.6}, "no-u0") == run({"v0": 0.6, "u0": 0.6}, "u0") != \
+        run({"v0": 0.6, "u0": 0.2}, "other")
+
+
+def test_fpe_from_a_uniform_density_keeps_its_mass(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "model": _OU, "fpe": {"interval": [-3.0, 3.0], "n_cells": 16, "horizon": 0.2,
+                              "snapshot_every": 0.1, "initial": {"kind": "uniform"}},
+        "outputs": {"dir": str(tmp_path / "out")}})
+    assert main(["fpe", "--config", cfg]) == 0
+    density = _read_table(tmp_path / "out" / "density.csv")[:, 1]
+    assert abs(density.sum() * 6.0 / 16 - 1.0) < 1e-9
+
+
+def test_convert_without_a_symbolic_derivative_warns_once(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {**_OU["custom"], "g": "abs(x) + 1",
+                             "interpretation": "stratonovich"}},
+        "convert": {"xs": [-1.0, 1.0, 5]}, "outputs": {"dir": str(tmp_path / "out")}})
+    assert main(["convert", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: symbolic derivative unavailable; using finite differences\n"
+    assert (tmp_path / "out" / "converted_drift.csv").exists()
+
+
+def test_a_fold_too_far_for_a_position_exits_3_with_one_message(tmp_path, capsys):
+    # g dW is about 1e299: the fold into [0, 1] leaves no position
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {**_OU["custom"], "f": "0", "g": "1e300", "x0": 0.5}},
+        "run": {"n_paths": 3, "dt": 0.01, "horizon": 0.02, "boundary": {"reflect": [0, 1]}},
+        "outputs": {"dir": str(tmp_path / "out")}})
+    assert main(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error:")
 
 
 @pytest.mark.parametrize("argv, payload, names", [

@@ -46,11 +46,17 @@ def _fold_into(v, lo, hi):
     if math.isinf(lo):
         folds = (v > hi).astype(np.int64)
         return np.where(v > hi, 2 * hi - v, v), folds
+    # only a value outside [lo, hi] folds; one 2^53 lengths or more out is NaN
     length = hi - lo
-    q = np.floor((v - lo) / length)
-    r = (v - lo) - q * length
-    pos = np.where((q % 2) == 0, lo + r, hi - r)
-    return pos, np.abs(q).astype(np.int64)
+    out = (v < lo) | (v > hi)
+    pos, folds = v.copy(), np.zeros(v.size, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        q = np.floor((v[out] - lo) / length)
+        r = (v[out] - lo) - q * length
+        near = np.abs(q) < 2.0**53
+        pos[out] = np.where(near, np.where((q % 2) == 0, lo + r, hi - r), np.nan)
+        folds[out] = np.where(near, np.abs(q), 0).astype(np.int64)
+    return pos, folds
 
 
 def _mark_crossing_hits(raw, ids, values, t, level, band, hit_down):

@@ -111,16 +111,33 @@ def test_a_negative_zero_start_is_stepped(case):
     assert not np.signbit(want.terminal).any()
 
 
-def test_a_start_the_reflection_moves_is_stepped():
-    model = _custom("0", "0", 0.41, Interpretation.STRATONOVICH, (0.1, 1.0))
-    # the fold rounds 0.41 to 0.40999999999999992
-    got, want = _both(model, MIDPOINT, Reflect(0.1, 1.0), record="path")
+def _rest_run(monkeypatch, model, boundary):
+    """The engine's and the reference's recorded midpoint runs, which must
+    agree bit for bit, and the widths of the engine's noise draws."""
+    draws, real = [], PathNoise.draw
+
+    def draw(self, ids, width):
+        draws.append(width)
+        return real(self, ids, width)
+
+    with monkeypatch.context() as m:
+        m.setattr(PathNoise, "draw", draw)
+        got = _run_engine(model, MIDPOINT, TIMES, N_PATHS, SeedSpec(11, 60), boundary,
+                          record="path")
+    want = _reference_engine(model, MIDPOINT, TIMES, N_PATHS, SeedSpec(11, 60), boundary,
+                             record="path")
     _assert_same_raw(got, want)
-    assert want.moved.all()
-    # the upper end folds at the corrector point and at the state, each step
-    got, want = _both(replace(model, x0=1.0), MIDPOINT, Reflect(0.1, 1.0), record="path")
-    _assert_same_raw(got, want)
-    assert np.all(want.reflections == 2 * (TIMES.size - 1))
+    return got, want, draws
+
+
+@pytest.mark.parametrize("x0", [0.41, 0.1, 1.0], ids=["inside", "lower-end", "upper-end"])
+def test_a_start_in_a_finite_reflection_interval_rests(monkeypatch, x0):
+    # a fold leaves a value that did not cross as it is, the ends included
+    model = _custom("0", "0", x0, Interpretation.STRATONOVICH, (0.1, 1.0))
+    got, want, draws = _rest_run(monkeypatch, model, Reflect(0.1, 1.0))
+    assert draws == []
+    assert not want.moved.any() and not want.reflections.any()
+    assert np.all(want.terminal == x0)
 
 
 def test_given_increments_are_stepped():
@@ -131,6 +148,14 @@ def test_given_increments_are_stepped():
     with np.errstate(invalid="ignore"):
         raw = _run_engine(model, MIDPOINT, TIMES, 2, dw, None)
     assert np.isnan(raw.terminal[1]) and raw.terminal[0] == 0.0
+
+
+def test_a_positive_zero_start_on_a_negative_zero_edge_rests(monkeypatch):
+    # the clamp gives a zero in the domain back with its sign
+    model = _custom("0", "x", 0.0, Interpretation.STRATONOVICH, (-0.0, 1.0))
+    got, want, draws = _rest_run(monkeypatch, model, None)
+    assert draws == []
+    assert not want.moved.any() and not np.signbit(got.recorded).any()
 
 
 def test_a_midpoint_that_overflows_is_stepped():

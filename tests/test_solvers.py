@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ks_statistic, path_noise
 from noisecalc.paths import SamplePath, SeedSpec, TimeGrid, generate_brownian
+from noisecalc import integrals
 from noisecalc.integrals import StepProcess, backward_regularized, strong_convergence_order
 from noisecalc.sde import Interpretation, SdeModel, to_ito
 from noisecalc.solvers import (
@@ -14,7 +15,6 @@ from noisecalc.solvers import (
     Reflect,
     STOP_ON_VIOLATION,
     SolverScheme,
-    besq_dimension,
     besq_time_change,
     exact_kinetic_oracle,
     exact_kinetic_terminal,
@@ -26,6 +26,7 @@ from noisecalc.solvers import (
     simulate_path,
     _MAX_PATHS,
     _MAX_STEPS,
+    _fold_into,
     _ou_coefficients,
     _run_engine,
 )
@@ -140,6 +141,36 @@ def test_reflected_first_step_fold_arithmetic():
     dw = math.sqrt(dt) * z
     assert res.path.values[1] == pytest.approx(b - dw, rel=1e-12)
     assert res.events[0].kind is EventKind.REFLECTION
+
+
+def _fold_arithmetic(c, lo, hi):
+    """The finite fold of one value that crossed [lo, hi], in scalars."""
+    length = hi - lo
+    q = math.floor((c - lo) / length)
+    r = (c - lo) - q * length
+    return (lo + r if q % 2 == 0 else hi - r), abs(q)
+
+
+def test_a_finite_fold_moves_only_the_values_that_crossed():
+    lo, hi = 0.1, 1.0
+    inside = np.array([0.41, lo, hi, 0.7, np.nextafter(hi, 0.0), np.nan])
+    with np.errstate(all="raise"):
+        got, hits, folds = _fold_into(inside, lo, hi)
+    assert got is inside and hits.size == 0
+    crossed = [1.3, 2.75, -0.05, -3.2, np.nextafter(lo, 0.0), 5e15]
+    far = [np.inf, -np.inf, 1e300, -1e300]
+    v = np.array([*inside, *crossed, *far])
+    with np.errstate(all="raise"):
+        got, hits, folds = _fold_into(v, lo, hi)
+    # values that did not cross come back bit for bit, NaN included
+    assert got[:inside.size].tobytes() == inside.tobytes()
+    # crossings fold and count as the fold's arithmetic does
+    assert hits.tolist() == list(range(inside.size, inside.size + len(crossed)))
+    want = [_fold_arithmetic(c, lo, hi) for c in crossed]
+    assert got[hits].tolist() == [pos for pos, _ in want]
+    assert np.broadcast_to(folds, hits.shape).tolist() == [n for _, n in want]
+    # a crossing too far to fold has no position and counts no fold
+    assert np.isnan(got[inside.size + len(crossed):]).all()
 
 
 def test_reflection_count_monotone_in_noise_amplitude():
@@ -283,13 +314,6 @@ def test_besq_time_change_values():
     assert np.all(np.diff(ss) > 0)
 
 
-def test_besq_dimension_lookup():
-    assert besq_dimension("single") == 1
-    assert besq_dimension("two_particle") == 2
-    with pytest.raises(ValueError):
-        besq_dimension("three")
-
-
 def test_time_changed_besq_moments():
     # kinetic oracle at time t vs exp(-2 gamma t / m) * BESQ(s(t)) sampled
     # through an independent Brownian construction
@@ -334,6 +358,26 @@ def test_strong_order_requires_three_levels():
     cfg = McConfig(n_paths=8, dt=1 / 4, horizon=1.0, seed=SeedSpec(51))
     with pytest.raises(ValueError):
         strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg, 2)
+
+
+def test_strong_order_bounds_its_reference_grid_before_drawing(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def draw(grid, seed):
+        raise Drawn
+
+    monkeypatch.setattr(integrals, "generate_brownian", draw)
+    m = _smooth_model()
+    # 1024 steps x 2^19 halvings x 16 is 2^33 reference steps
+    cfg = McConfig(n_paths=1, dt=1 / 1024, horizon=1.0, seed=SeedSpec(51))
+    with pytest.raises(ValueError, match="reference grid"):
+        strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg, 20)
+    # 2^16 reference steps: 256 paths hold 2^24 increments, 257 paths more
+    for n_paths, raised in ((256, Drawn), (257, ValueError)):
+        cfg = McConfig(n_paths=n_paths, dt=1 / 1024, horizon=1.0, seed=SeedSpec(51))
+        with pytest.raises(raised):
+            strong_convergence_order(m, SolverScheme.EULER_MARUYAMA_ITO_FORM, cfg, 3)
 
 
 def test_identical_stepping_gives_zero_error_against_itself():
@@ -451,11 +495,25 @@ _NAN_CFG = McConfig(n_paths=4, dt=0.1, horizon=1.0, seed=SeedSpec(1))
     pytest.param(lambda: LangevinParams(m=_NAN), id="LangevinParams-m"),
     pytest.param(lambda: LangevinParams(gamma=_NAN), id="LangevinParams-gamma"),
     pytest.param(lambda: RelativisticParams(M=_NAN), id="RelativisticParams-M"),
+    pytest.param(lambda: exact_kinetic_terminal(1, 1.0, 1.0, 1.0, [1.0], _NAN, 4, SeedSpec(1)),
+                 id="exact_kinetic_terminal-horizon"),
+    pytest.param(lambda: exact_kinetic_terminal(1, 1.0, 1.0, 1.0, [1.0], -1.0, 4, SeedSpec(1)),
+                 id="exact_kinetic_terminal-negative-horizon"),
 ])
 def test_a_nan_is_not_positive(call):
     # each check reads `not x > 0`, which a NaN fails
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("n_paths", [0, -1, _MAX_PATHS + 1])
+def test_exact_kinetic_terminal_bounds_its_path_count(monkeypatch, n_paths):
+    def opened(self):
+        raise AssertionError("a generator opened")
+
+    monkeypatch.setattr(SeedSpec, "generator", opened)
+    with pytest.raises(ValueError, match="n_paths must be in"):
+        exact_kinetic_terminal(1, 1.0, 1.0, 1.0, [1.0], 1.0, n_paths, SeedSpec(1))
 
 
 def test_scheme_for_mapping():
