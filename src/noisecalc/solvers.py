@@ -61,10 +61,10 @@ inf`` is NaN) are stepped.
 
 The exact OU oracles step the velocities of ``delta`` Langevin particles
 by exact Gaussian transitions, through one vectorized stepper.  Component
-``c`` of oracle path ``i`` of a run seeded ``seed`` draws from its own
-generator, seeded ``seed.shifted(i).child(ORACLE, c)``, so path ``i`` of any
-oracle is the one-path oracle seeded ``seed.shifted(i)``, and no oracle
-shares a draw with a Brownian driver or an engine run of the same seed.
+``c`` draws through the block streams of ``seed.child(ORACLE, c)``, under
+the engine's rule, so path ``i`` of any oracle is the one-path oracle seeded
+``seed.shifted(i)``, and no oracle shares a draw with a Brownian driver or
+an engine run of the same seed.
 """
 from __future__ import annotations
 
@@ -286,7 +286,8 @@ def _fold_into(v: np.ndarray, lo: float, hi: float):
     included, comes back bit for bit, and ``v`` itself when none crossed.
     On a finite interval a crossing of 2^53 lengths or more, an infinite
     value included, leaves no position: it becomes NaN, with no index and
-    no fold."""
+    no fold; every other crossing folds at least once, even one whose
+    quotient ``(v - lo) / (hi - lo)`` underflows to -0.0."""
     if math.isinf(lo) or math.isinf(hi):
         out = v > hi if math.isinf(lo) else v < lo
         hits = out.nonzero()[0]
@@ -299,13 +300,13 @@ def _fold_into(v: np.ndarray, lo: float, hi: float):
     length, c = hi - lo, v[hits]
     with np.errstate(over="ignore", invalid="ignore"):  # the far crossings
         q = np.floor((c - lo) / length)
+        q = np.where(c < lo, np.minimum(q, -1.0), np.maximum(q, 1.0))
         r = (c - lo) - q * length
         folded = np.where((q % 2) == 0, lo + r, hi - r)
     near = np.abs(q) < 2.0**53
     v = v.copy()
     v[hits] = np.where(near, folded, np.nan)
-    keep = near & (q != 0)
-    return v, hits[keep], np.abs(q[keep]).astype(np.int64)
+    return v, hits[near], np.abs(q[near]).astype(np.int64)
 
 
 def _at_rest(f, g, rule: EvaluationRule, x0: float, times: np.ndarray,
@@ -699,18 +700,16 @@ def _oracle_velocities(
     h, n_paths: int, seed: SeedSpec, level: float | None = None,
 ) -> np.ndarray:
     """Velocities ``(n_paths, len(h) + 1, delta)`` of oracle paths over the
-    spacings ``h``, drawn a chunk of :func:`_chunk_steps` steps a call, each
-    step drawing ``delta`` normals per live path.  With a ``level``, each
-    path's first step of energy at most ``level`` instead (-1 for none); a
-    path draws no chunk after the one it hits in.
-    """
+    spacings ``h``, component ``c`` drawn from ``PathNoise(seed.child(ORACLE,
+    c), n_paths)`` a chunk of :func:`_chunk_steps` steps a call.  With a
+    ``level``, each path's first step of energy at most ``level`` instead
+    (-1 for none)."""
     if delta not in (1, 2) or len(v0s) != delta:
         raise ValueError("delta must be 1 or 2 and match len(v0s)")
     _check_langevin(m, gamma, sigma)
     decay, scale = _ou_coefficients(m, gamma, sigma, h)
     n_steps = decay.size
-    gens = [[seed.shifted(i).child(ORACLE, c).generator() for c in range(delta)]
-            for i in range(n_paths)]
+    noises = [PathNoise(seed.child(ORACLE, c), n_paths) for c in range(delta)]
     v = np.tile(np.asarray(v0s, dtype=float), (n_paths, 1))
     if level is None:
         out = np.empty((n_paths, n_steps + 1, delta))
@@ -722,11 +721,11 @@ def _oracle_velocities(
 
     step = 0
     while step < n_steps and live.size:
-        width = _chunk_steps(live.size * delta, n_steps - step)
+        width = _chunk_steps(noises[0].columns(live) * delta, n_steps - step)
         z = np.empty((live.size, delta, width))
-        for row, i in enumerate(live):
-            for c, gen in enumerate(gens[i]):
-                gen.standard_normal(out=z[row, c])
+        for c, noise in enumerate(noises):
+            tiles, at = noise.draw(live, width)
+            z[:, c] = tiles[at[:, None] + noise.stride * np.arange(width)]
         va, alive = v[live], np.ones(live.size, dtype=bool)
         for s in range(width):
             k = step + s
@@ -766,7 +765,7 @@ def exact_kinetic_oracle(
 ) -> SamplePath:
     """Kinetic energy of ``delta`` independent Langevin particles.
 
-    Built from exact velocity transitions, one generator per component
+    Built from exact velocity transitions, one block stream per component
     (module docstring), hence exact in distribution at the grid times;
     this is the independent oracle for the kinetic-energy claims.
     """

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import path_noise
 from noisecalc import solvers
 from noisecalc.paths import ORACLE, PathNoise, SeedSpec, TimeGrid
 from noisecalc.physics import LangevinParams, kinetic_models
@@ -29,10 +30,11 @@ def test_chunk_steps_follow_the_budget_between_floor_and_ceiling():
 
 
 def _oracle_reference(delta, m, gamma, sigma, v0s, h, n_paths, seed, level=None):
-    """Every path's normals in one call per component, stepped in one loop."""
+    """Every path's normals in one block-stream draw per component, stepped
+    in one loop."""
     decay, scale = _ou_coefficients(m, gamma, sigma, h)
-    z = np.array([[seed.shifted(i).child(ORACLE, c).generator().standard_normal(decay.size)
-                   for c in range(delta)] for i in range(n_paths)])
+    z = np.stack([path_noise(seed.child(ORACLE, c), n_paths, decay.size).T
+                  for c in range(delta)], axis=1)
     v = np.empty((n_paths, decay.size + 1, delta))
     v[:, 0] = v0s
     for k in range(decay.size):
@@ -46,7 +48,7 @@ def _oracle_reference(delta, m, gamma, sigma, v0s, h, n_paths, seed, level=None)
 @pytest.mark.parametrize("budget, floor", [(None, None), (37 * 20, 1), (0, 37)],
                          ids=["default", "budget-binds", "floor-binds"])
 @pytest.mark.parametrize("delta, v0s, level", [
-    (1, [1.0], None), (2, [0.6, -0.4], None), (1, [1.0], 0.002), (2, [0.6, -0.4], 0.05)],
+    (1, [1.0], None), (2, [0.6, -0.4], None), (1, [1.0], 2e-4), (2, [0.6, -0.4], 0.05)],
     ids=["delta1", "delta2", "delta1-level", "delta2-level"])
 def test_oracle_velocities_do_not_depend_on_the_chunking(monkeypatch, budget, floor,
                                                           delta, v0s, level):
@@ -113,3 +115,14 @@ def test_a_recorded_path_allocates_at_most_1_25_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_a_wide_oracle_terminal_allocates_at_most_32_mib():
+    # 10^5 paths and two components: one generator per 64-path block each
+    tracemalloc.start()
+    try:
+        solvers.exact_kinetic_terminal(2, 1, 1, 1, [1.0, 0.0], 0.8, 100_000, SeedSpec(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
