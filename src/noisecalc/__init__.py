@@ -61,4 +61,4 @@ from .physics import (
     rest_start_diagnostics,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -424,8 +424,12 @@ def _cmd_convert(cfg: dict, args) -> str:
               file=sys.stderr)
     ito = to_ito(model)
     f_orig = np.asarray(model.f(xs, 0.0), dtype=float)
-    f_ito = np.asarray(ito.f(xs, 0.0), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite drift is reported below
+        f_ito = np.asarray(ito.f(xs, 0.0), dtype=float)
     _write_csv(out / "converted_drift.csv", "x,f_original,f_ito", (xs, f_orig, f_ito), "")
+    bad = np.flatnonzero(~np.isfinite(f_ito))
+    if bad.size:
+        raise NumericError(f"converted drift f_ito is not finite at x = {float(xs[bad[0]])!r}")
     return f"convert: wrote converted_drift.csv to {out}"
 
 

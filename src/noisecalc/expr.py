@@ -35,8 +35,9 @@ chain ``x + x + ...`` is one level) and the parser's open groups
 (parentheses, function arguments, unary minus and exponents), with an
 :class:`ExprSyntaxError` at the position where the limit is crossed.  Every
 later stage but :func:`reads_t` walks the tree recursively, and the
-derivative of a tree at the limit is a few times deeper, so the limit keeps
-each of them well inside Python's recursion limit.
+derivative of a tree at the limit is a few times deeper.  At the limit no
+stage needs more than about 400 frames above its caller (the parser spends
+three a group), well inside Python's default recursion limit of 1000.
 """
 from __future__ import annotations
 
@@ -185,7 +186,10 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     """Recursive descent; each rule returns its node and the node's height
-    (a leaf is 1), and ``nest`` counts the groups open around the token."""
+    (a leaf is 1), and ``nest`` counts the groups open around the token.
+    A group costs three frames (``expr``, ``factor``, ``primary``): ``expr``
+    parses both binary levels in one loop, and ``factor`` both ``-`` and
+    ``^``."""
 
     def __init__(self, src: str):
         self.src = src
@@ -200,14 +204,12 @@ class _Parser:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", node.pos)
         return node, height
 
-    def nested(self, rule: Callable, pos: int) -> tuple[Node, int]:
-        """``rule()`` parsed inside one more group, opened at ``pos``."""
+    def open_group(self, pos: int) -> None:
+        """Count one more group, opened at ``pos``; its rule's caller closes
+        it with ``nest -= 1``."""
         self.nest += 1
         if self.nest > MAX_DEPTH:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
-        out = rule()
-        self.nest -= 1
-        return out
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -231,17 +233,10 @@ class _Parser:
         return node
 
     def expr(self) -> tuple[Node, int]:
-        node, height = self.term()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right, h = self.term()
-                node, height = self.node(Bin(pos, text, node, right), height, h)
-            else:
-                return node, height
-
-    def term(self) -> tuple[Node, int]:
+        """``term (('+' | '-') term)*`` with ``term := factor (('*' | '/')
+        factor)*``: ``node`` is the term being built, and ``total`` the sum
+        before it with the operator that joins them."""
+        total = None
         node, height = self.factor()
         while True:
             kind, text, pos = self.peek()
@@ -249,23 +244,32 @@ class _Parser:
                 self.advance()
                 right, h = self.factor()
                 node, height = self.node(Bin(pos, text, node, right), height, h)
-            else:
+                continue
+            if total is not None:  # the term is complete
+                left, h, op_pos, op = total
+                node, height = self.node(Bin(op_pos, op, left, node), h, height)
+            if not (kind == "op" and text in "+-"):
                 return node, height
+            self.advance()
+            total = node, height, pos, text
+            node, height = self.factor()
 
     def factor(self) -> tuple[Node, int]:
+        """``'-' factor | primary ('^' factor)?``, right-associative."""
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            arg, h = self.nested(self.factor, pos)
+            self.open_group(pos)
+            arg, h = self.factor()
+            self.nest -= 1
             return self.node(Neg(pos, arg), h)
-        return self.power()
-
-    def power(self) -> tuple[Node, int]:
         base, height = self.primary()
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent, h = self.nested(self.factor, pos)
+            self.open_group(pos)
+            exponent, h = self.factor()
+            self.nest -= 1
             return self.node(Bin(pos, "^", base, exponent), height, h)
         return base, height
 
@@ -278,12 +282,16 @@ class _Parser:
                 return self.node(Var(pos, text))
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg, h = self.nested(self.expr, pos)
+                self.open_group(pos)
+                arg, h = self.expr()
+                self.nest -= 1
                 self.expect_op(")")
                 return self.node(Call(pos, text, arg), h)
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            node = self.nested(self.expr, pos)
+            self.open_group(pos)
+            node = self.expr()
+            self.nest -= 1
             self.expect_op(")")
             return node
         raise ExprSyntaxError(

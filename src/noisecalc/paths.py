@@ -11,11 +11,12 @@ distinction (a study, a study's member, a refinement level, an oracle
 component) is a word appended to the key (:meth:`SeedSpec.child`) from the
 table below, never an offset added to the stream.
 
-Ensembles draw through :class:`PathNoise`: path number ``p`` is column
-``p % BLOCK`` of block ``p // BLOCK``.  Each block has one generator and
-draws step-major ``(width, BLOCK)`` tiles, so the draw of path ``p`` at
-step ``s`` depends only on ``(master, key, p, s)``: not on how many other
-paths run, on how the steps are chunked, or on when other paths stop.
+A Brownian path of any dimension is one stream.  Ensembles draw through
+:class:`PathNoise`: path number ``p`` is column ``p % BLOCK`` of block ``p //
+BLOCK``.  Each block has one generator, opened at its first draw, and draws
+step-major ``(width, BLOCK)`` tiles, so the draw of path ``p`` at step ``s``
+depends only on ``(master, key, p, s)``: not on how many other paths run, on
+how the steps are chunked, or on when other paths stop.
 """
 from __future__ import annotations
 
@@ -116,7 +117,8 @@ class PathNoise:
     Path ``i`` is path number ``p = seed.stream + i``: column ``p % BLOCK``
     of block ``p // BLOCK``, whose generator is
     ``SeedSpec(seed.master, p // BLOCK, seed.key + (tag,)).generator()``.
-    Every block covering the run is opened here, once.
+    It is opened at the block's first :meth:`draw`: a run that draws
+    nothing opens nothing.
 
     :meth:`columns` and :meth:`draw` take the live paths as ascending ids
     (the engine starts from ``arange(n_paths)`` and only drops paths), so
@@ -130,10 +132,8 @@ class PathNoise:
         first = seed.stream // BLOCK
         self._block = p // BLOCK - first
         self._col = p % BLOCK
-        self._gens = [
-            SeedSpec(seed.master, b, seed.key + (_BLOCK_TAG,)).generator()
-            for b in range(first, first + int(self._block[-1]) + 1)
-        ]
+        self._first_block = SeedSpec(seed.master, first, seed.key + (_BLOCK_TAG,))
+        self._gens: list[np.random.Generator | None] = [None] * (int(self._block[-1]) + 1)
 
     def _live_blocks(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks holding the ascending ``ids``, ascending and each once,
@@ -164,8 +164,11 @@ class PathNoise:
         """
         blocks, where = self._live_blocks(ids)
         tiles = np.empty((blocks.size, width, BLOCK))
+        gens = self._gens
         for j, b in enumerate(blocks):
-            self._gens[b].standard_normal(out=tiles[j])
+            if gens[b] is None:
+                gens[b] = self._first_block.shifted(int(b)).generator()
+            gens[b].standard_normal(out=tiles[j])
         return tiles.reshape(-1), where * (width * BLOCK) + self._col[ids]
 
 
@@ -286,35 +289,22 @@ class VectorPath:
 
 
 def generate_brownian(grid: TimeGrid, seed: SeedSpec) -> SamplePath:
-    """Standard Brownian motion sampled on ``grid``, started at 0.
-
-    Increments over a step of length ``dt`` are independent centered
-    Gaussians of variance ``dt``.  Identical ``(grid, seed)`` gives
-    bit-identical output.
-    """
-    rng = seed.generator()
-    z = rng.standard_normal(grid.n_steps)
-    w = np.empty(len(grid))
-    w[0] = 0.0
-    np.cumsum(np.sqrt(grid.spacings) * z, out=w[1:])
-    return SamplePath(grid, w)
+    """Standard Brownian motion sampled on ``grid``, started at 0: the
+    one-component case of :func:`generate_brownian_vector`."""
+    return generate_brownian_vector(grid, 1, seed).component(0)
 
 
 def generate_brownian_vector(grid: TimeGrid, m: int, seed: SeedSpec) -> VectorPath:
-    """``m`` independent scalar Brownian paths stacked into a VectorPath.
-
-    Component ``c`` draws from path number ``stream*m + c`` (same master
-    and key), so ``m = 1`` reproduces :func:`generate_brownian` exactly.
-    This is the one layout formula besides the stream rule of the module
-    docstring.
-    """
+    """``m`` independent standard Brownian motions on ``grid``, started at
+    0: ``sqrt(dt)`` times one step-major ``(n_steps, m)`` draw of
+    ``seed.generator()``, summed along time."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cols = []
-    for c in range(m):
-        sub = SeedSpec(seed.master, seed.stream * m + c, seed.key)
-        cols.append(generate_brownian(grid, sub).values)
-    return VectorPath(grid, np.column_stack(cols))
+    z = seed.generator().standard_normal((grid.n_steps, m))
+    w = np.empty((len(grid), m))
+    w[0] = 0.0
+    np.cumsum(np.sqrt(grid.spacings)[:, None] * z, axis=0, out=w[1:])
+    return VectorPath(grid, w)
 
 
 def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:

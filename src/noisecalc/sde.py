@@ -4,6 +4,7 @@ Each interpretation is one :class:`EvaluationRule` (left, midpoint, right).
 Conversions are coefficient-level: mapping an interpretation to Ito form
 adds the rule's offset times ``g * dg/dx`` to the drift (0 for Ito, 1/2 for
 Stratonovich, 1 for Hanggi-Klimontovich) and leaves the diffusion untouched.
+Without an analytic ``dg/dx`` that product is ``(g^2)'/2``, differenced.
 Solving always routes through the Ito form or a direct evaluation-rule
 scheme; see :mod:`noisecalc.solvers`.
 
@@ -139,9 +140,9 @@ class SdeModel:
     ``f`` and ``g`` are functions of ``(x, t)`` and should accept numpy
     arrays in ``x`` (the solvers evaluate them vectorized).  ``dgdx`` is the
     optional analytic spatial derivative of ``g``; when absent, conversions
-    fall back to :func:`finite_diff_gprime` on the model's domain.  The
-    domain is an open interval; ``x0`` may sit on its closure so rest-start
-    experiments are representable.
+    difference ``g^2`` with :func:`finite_diff_gprime` on the model's
+    domain.  The domain is an open interval; ``x0`` may sit on its closure
+    so rest-start experiments are representable.
     """
 
     f: CoefficientFn
@@ -166,11 +167,21 @@ class SdeModel:
 
 
 def _with_offset(model: SdeModel, offset: float) -> CoefficientFn:
-    f, g, gprime = model.f, model.g, model.gprime
+    """The drift plus ``offset * g g'``: ``dgdx * g``, or without ``dgdx``
+    ``(g^2)'/2`` differenced, exact where ``g^2`` is linear and ``g'`` not."""
+    f, g, dgdx = model.f, model.g, model.dgdx
+    if dgdx is not None:
+        def drift(x, t):
+            return f(x, t) + offset * dgdx(x, t) * g(x, t)
+        return drift
 
-    def drift(x, t):
-        return f(x, t) + offset * gprime(x, t) * g(x, t)
-    return drift
+    def g_squared(x, t):
+        gx = g(x, t)
+        return gx * gx
+
+    def fd_drift(x, t):
+        return f(x, t) + offset * 0.5 * finite_diff_gprime(g_squared, x, t, model.domain)
+    return fd_drift
 
 
 def to_ito(model: SdeModel) -> SdeModel:

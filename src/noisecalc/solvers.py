@@ -54,10 +54,10 @@ rest point of its scheme is not stepped: when ``f`` and ``g`` vanish
 exactly at ``x0`` at every time a step evaluates them (:func:`_at_rest`),
 each step would add a zero to ``x0``, and the projection gives a value in
 the domain and the reflection interval back bit for bit, so the loop would
-leave the initial result as it is, and every recorded row is ``x0``.  Its
-block streams are opened all the same, and none is drawn from.  A ``-0.0``
-start (``-0.0 + 0.0`` is ``+0.0``) and a given increment matrix (``0 *
-inf`` is NaN) are stepped.
+leave the initial result as it is, and every recorded row is ``x0``.  It
+draws nothing, so it opens no block stream.  A ``-0.0`` start (``-0.0 +
+0.0`` is ``+0.0``) and a given increment matrix (``0 * inf`` is NaN) are
+stepped.
 
 The exact OU oracles step the velocities of ``delta`` Langevin particles
 by exact Gaussian transitions, through one vectorized stepper.  Component

@@ -622,6 +622,34 @@ def test_convert_without_a_symbolic_derivative_warns_once(tmp_path, capsys):
     assert (tmp_path / "out" / "converted_drift.csv").exists()
 
 
+def test_convert_a_non_finite_drift_exits_3_with_one_message(tmp_path, capsys):
+    # the symbolic g' of sqrt(2x) is infinite at 0, where g is 0
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {"f": "-2*x", "g": "sqrt(2*x)", "interpretation": "stratonovich",
+                             "domain": [0, None], "x0": 1.0}},
+        "convert": {"xs": [0, 1, 3]}, "outputs": {"dir": str(tmp_path / "out")}})
+    assert main(["convert", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric error: converted drift f_ito is not finite at x = 0.0\n"
+    # as for a divergent integrate table, the table is written first
+    assert np.isnan(_read_table(tmp_path / "out" / "converted_drift.csv")[0, 2])
+
+
+@pytest.mark.parametrize("interpretation, offset", [("stratonovich", 0.5), ("hk", 1.0)])
+@pytest.mark.parametrize("x", [5e-7, 1e-8])
+def test_convert_by_finite_differences_at_a_square_root_edge(tmp_path, interpretation,
+                                                             offset, x):
+    # without a symbolic g', g g' = (g^2)'/2 = 1 is differenced from g^2 = 2x
+    cfg = _write_config(tmp_path, {
+        "model": {"custom": {"f": "-2*x", "g": "sqrt(2*abs(x))",
+                             "interpretation": interpretation, "domain": [0, None],
+                             "x0": 1.0}},
+        "convert": {"xs": [0, x, 2]}, "outputs": {"dir": str(tmp_path / "out")}})
+    assert main(["convert", "--config", cfg]) == 0
+    table = _read_table(tmp_path / "out" / "converted_drift.csv")
+    assert table[:, 2] == pytest.approx(offset - 2 * table[:, 0], abs=1e-9)
+
+
 def test_a_fold_too_far_for_a_position_exits_3_with_one_message(tmp_path, capsys):
     # g dW is about 1e299: the fold into [0, 1] leaves no position
     cfg = _write_config(tmp_path, {

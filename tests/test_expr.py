@@ -303,6 +303,22 @@ def _depth() -> int:
     return depth
 
 
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_every_stage_at_the_depth_limit_fits_in_450_frames(shape):
+    # the parser used to spend six frames a group, 611 for MAX_DEPTH parentheses
+    src = _SHAPES[shape](_AT)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 450)
+    try:
+        e = xp.parse(src)
+        d = xp.derivative(e)
+        values = [(xp.evaluate(tree, 0.7), xp.vector_fn(tree)(np.array([0.7]))[0])
+                  for tree in (e, d)]
+    finally:
+        sys.setrecursionlimit(old)
+    assert all(math.isfinite(a) and a == b for a, b in values)
+
+
 def test_reads_t_adds_no_frames_per_level():
     """``parse`` builds a ``x + x + ...`` chain in a loop; ``reads_t`` walks
     it with its own stack, so it runs a few frames above its caller."""

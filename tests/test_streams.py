@@ -15,11 +15,13 @@ import noisecalc.cli
 import noisecalc.physics
 from noisecalc.cli import main
 from conftest import path_noise
-from noisecalc.paths import BLOCK, PathNoise, SeedSpec, TimeGrid, generate_brownian
-from noisecalc.physics import LangevinParams, langevin_velocity_pair
+from noisecalc.paths import (BLOCK, PathNoise, SeedSpec, TimeGrid, generate_brownian,
+                             generate_brownian_vector)
+from noisecalc.physics import LangevinParams, kinetic_models, langevin_velocity_pair
 from noisecalc.sde import Interpretation, SdeModel
-from noisecalc.solvers import (McConfig, SolverScheme, _oracle_velocities, _ou_coefficients,
-                               _run_engine, exact_ou_path, simulate_ensemble, simulate_path)
+from noisecalc.solvers import (McConfig, Reflect, SolverScheme, _oracle_velocities,
+                               _ou_coefficients, _run_engine, exact_ou_path, hitting_time,
+                               kinetic_oracle_hitting, simulate_ensemble, simulate_path)
 
 N_STEPS, DT = 1300, 2.0**-10  # more than two of the engine's 512-step chunks
 
@@ -194,7 +196,9 @@ def test_experiment_member_runs_draw_from_disjoint_streams(tmp_path, monkeypatch
     # path ranges (78 and 156)
     runs = _opened_per_call(tmp_path, monkeypatch, opened, noisecalc.physics,
                             ["_run_engine", "hitting_time"])  # rest-start, hitting members
-    assert len(runs) == 6 and all(runs)
+    assert len(runs) == 6
+    # the rest-start Stratonovich member starts at rest and draws nothing
+    assert [bool(r) for r in runs] == [True, False, True, True, True, True]
     for i, a in enumerate(runs):
         for b in runs[i + 1:]:
             assert not a & b
@@ -207,3 +211,53 @@ def test_seed_words_of_32_bits_or_more_are_rejected():
         with pytest.raises(ValueError, match=r"2\*\*32"):
             SeedSpec(*args)
     assert SeedSpec(2**32 - 1, 2**32 - 1, (2**32 - 1,)).master == 2**32 - 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_brownian_drivers_of_different_path_numbers_share_no_generator(opened, m):
+    # a vector path used to put component c at path number stream * m + c
+    grid = TimeGrid.uniform(0.0, 1.0, 16)
+    for s in range(8):
+        for t in range(8):
+            if s == t:
+                continue
+            start = len(opened)
+            generate_brownian_vector(grid, m, SeedSpec(78, s))
+            vector = set(opened[start:])
+            start = len(opened)
+            generate_brownian(grid, SeedSpec(78, t))
+            assert vector == {(s, ())} and not vector & set(opened[start:])
+
+
+def test_vector_components_are_one_draw():
+    grid, seed = TimeGrid(np.cumsum(np.linspace(0.01, 0.3, 41)) - 0.01), SeedSpec(79, 4, (2,))
+    z = seed.generator().standard_normal((grid.n_steps, 3))
+    want = np.cumsum(np.sqrt(grid.spacings)[:, None] * z, axis=0)
+    got = generate_brownian_vector(grid, 3, seed).values
+    assert np.array_equal(got[0], np.zeros(3)) and np.array_equal(got[1:], want)
+    # m = 1 is the scalar path, on this non-uniform grid too
+    assert np.array_equal(generate_brownian_vector(grid, 1, seed).values[:, 0],
+                          generate_brownian(grid, seed).values)
+
+
+def _rest_start(seed):
+    model = kinetic_models(LangevinParams(v0=0.0)).stratonovich
+    cfg = McConfig(n_paths=100, dt=1e-3, horizon=0.1, seed=seed)
+    return simulate_ensemble(model, SolverScheme.DIRECT_MIDPOINT_HEUN, cfg, Reflect(0.0),
+                             record="terminal")
+
+
+def _hit_at_start(seed):
+    cfg = McConfig(n_paths=100, dt=1e-3, horizon=0.1, seed=seed)
+    return hitting_time(_walk(0.05), SolverScheme.DIRECT_LEFT, 0.0, 0.1, cfg)
+
+
+def _oracle_hit_at_start(seed):
+    cfg = McConfig(n_paths=100, dt=1e-3, horizon=0.1, seed=seed)
+    return kinetic_oracle_hitting(2, 1.0, 1.0, 1.0, [0.1, 0.1], 0.5, 0.1, cfg)
+
+
+@pytest.mark.parametrize("run", [_rest_start, _hit_at_start, _oracle_hit_at_start])
+def test_a_run_that_draws_nothing_opens_nothing(opened, run):
+    run(SeedSpec(80, 30))
+    assert opened == []
